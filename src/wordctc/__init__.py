@@ -57,7 +57,7 @@ from .data import (
     save_synth_corpus,
     train_dev_split,
 )
-from .metrics import EditStats, edit_distance, error_rate, frame_error_rate, pool
+from .metrics import EditStats, edit_distance, error_rate, frame_error_rate, frame_errors, pool
 from .network import (
     LSTMLayer,
     Network,
@@ -66,7 +66,6 @@ from .network import (
     StaleTapeError,
     downsample,
     downsample_schedule,
-    init_random,
     load_network,
     lstm_backward,
     lstm_forward,
@@ -83,6 +82,7 @@ from .training import (
     TrainResult,
     TrainingError,
     convert_transcripts_to_phonemes,
+    decode_utterance,
     evaluate,
     format_train_log,
     train,

@@ -11,6 +11,7 @@ values, 5 training could not proceed, 1 unexpected error.
 """
 
 import argparse
+import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from .analysis import (
     permutation_pvalue,
     table_tsv,
 )
-from .ctc import Vocabulary, greedy_decode
+from .ctc import Vocabulary
 from .data import (
     SIL,
     DataFormatError,
@@ -39,21 +40,19 @@ from .data import (
     load_transcripts,
     save_synth_corpus,
 )
-from .metrics import edit_distance, error_rate, fer_report, pool, score_report
+from .metrics import edit_distance, error_rate, fer_report, frame_errors, pool, score_report
 from .network import (
     Network,
-    SequenceTooShortError,
     downsample_schedule,
     load_network,
-    network_forward,
     save_network,
     transfer_bottom_layers,
 )
 from .training import (
     TrainConfig,
     TrainingError,
-    classifier_frame_predictions,
     convert_transcripts_to_phonemes,
+    decode_utterance,
     format_train_log,
     train,
 )
@@ -85,39 +84,58 @@ def _bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
+def _config_opts(config_cls, **helps):
+    """Opts for the named fields of a config dataclass, which sets their
+    types and defaults; only the help text lives here."""
+    fields = {f.name: f for f in dataclasses.fields(config_cls)}
+    return [Opt(name, fields[name].type, fields[name].default, text) for name, text in helps.items()]
+
+
+def _config(config_cls, opts, **fixed):
+    """config_cls from the resolved options named like its fields, except `fixed`."""
+    names = [f.name for f in dataclasses.fields(config_cls) if f.name not in fixed]
+    return config_cls(**{name: getattr(opts, name) for name in names}, **fixed)
+
+
 _SYNTH = [
     Opt("out_dir", str, None, "output directory", required=True),
-    Opt("seed", int, 0, "generator seed"),
-    Opt("vocab_size", int, 50, "number of words"),
-    Opt("n_phonemes", int, 12, "phoneme inventory size"),
-    Opt("feature_dim", int, 8, "feature dimension"),
-    Opt("phoneme_duration_mean", float, 8.16, "mean phoneme duration in frames"),
-    Opt("phoneme_duration_std", float, 4.67, "phoneme duration stddev in frames"),
-    Opt("min_pronunciation", int, 2, "shortest pronunciation"),
-    Opt("max_pronunciation", int, 5, "longest pronunciation"),
-    Opt("noise_scale", float, 0.3, "feature noise stddev"),
-    Opt("min_words", int, 4, "fewest words per utterance"),
-    Opt("max_words", int, 8, "most words per utterance"),
-    Opt("n_train", int, 800, "training utterances"),
-    Opt("n_dev", int, 40, "development utterances"),
-    Opt("n_test", int, 40, "test utterances"),
-    Opt("silence_prob", float, 0.3, "probability of silence between words"),
-    Opt("zipf_exponent", float, 1.0, "word frequency skew (0 = uniform)"),
+    *_config_opts(
+        SynthConfig,
+        seed="generator seed",
+        vocab_size="number of words",
+        n_phonemes="phoneme inventory size",
+        feature_dim="feature dimension",
+        phoneme_duration_mean="mean phoneme duration in frames",
+        phoneme_duration_std="phoneme duration stddev in frames",
+        min_pronunciation="shortest pronunciation",
+        max_pronunciation="longest pronunciation",
+        noise_scale="feature noise stddev",
+        min_words="fewest words per utterance",
+        max_words="most words per utterance",
+        n_train="training utterances",
+        n_dev="development utterances",
+        n_test="test utterances",
+        silence_prob="probability of silence between words",
+        zipf_exponent="word frequency skew (0 = uniform)",
+    ),
 ]
 
 _TRAIN = [
     Opt("data", str, None, "corpus directory written by synth", required=True),
     Opt("out_dir", str, None, "output directory", required=True),
-    Opt("mode", str, "word-ctc", "word-ctc | phoneme-ctc | frame-classifier"),
+    *_config_opts(TrainConfig, mode="word-ctc | phoneme-ctc | frame-classifier"),
     Opt("downsample", int, 1, "total frame-rate reduction factor (power of two)"),
     Opt("layers", int, 4, "number of LSTM layers"),
     Opt("hidden", int, 500, "hidden units per layer"),
-    Opt("phase1_epochs", int, 20, "epochs at the constant step size"),
-    Opt("phase1_lr", float, 0.05, "phase-1 step size"),
-    Opt("phase2_epochs", int, 20, "epochs with the decayed step size"),
-    Opt("phase2_lr", float, 0.0375, "phase-2 initial step size"),
-    Opt("phase2_decay", float, 0.75, "per-epoch decay in phase 2"),
-    Opt("clip_norm", float, 5.0, "global gradient-norm bound"),
+    *_config_opts(
+        TrainConfig,
+        phase1_epochs="epochs at the constant step size",
+        phase1_lr="phase-1 step size",
+        phase2_epochs="epochs with the decayed step size",
+        phase2_lr="phase-2 initial step size",
+        phase2_decay="per-epoch decay in phase 2",
+        clip_norm="global gradient-norm bound",
+    ),
     Opt("init_from", str, "", "checkpoint to transfer bottom layers from"),
     Opt("init_layers", int, 3, "how many bottom layers to transfer"),
     Opt("data_fraction", float, 1.0, "seeded fraction of the training set to use"),
@@ -247,25 +265,7 @@ def _format_config(schema, opts):
 
 
 def cmd_synth(opts, out):
-    cfg = SynthConfig(
-        seed=opts.seed,
-        vocab_size=opts.vocab_size,
-        n_phonemes=opts.n_phonemes,
-        feature_dim=opts.feature_dim,
-        phoneme_duration_mean=opts.phoneme_duration_mean,
-        phoneme_duration_std=opts.phoneme_duration_std,
-        min_pronunciation=opts.min_pronunciation,
-        max_pronunciation=opts.max_pronunciation,
-        noise_scale=opts.noise_scale,
-        min_words=opts.min_words,
-        max_words=opts.max_words,
-        n_train=opts.n_train,
-        n_dev=opts.n_dev,
-        n_test=opts.n_test,
-        silence_prob=opts.silence_prob,
-        zipf_exponent=opts.zipf_exponent,
-    )
-    corpus = generate_synthetic(cfg)
+    corpus = generate_synthetic(_config(SynthConfig, opts))
     out.claim("lexicon.tsv")
     for split in corpus.splits:
         out.claim(split)
@@ -320,16 +320,8 @@ def cmd_train(opts, out):
     if opts.init_from:
         source = load_network(opts.init_from)
         model = transfer_bottom_layers(source, model, opts.init_layers)
-    cfg = TrainConfig(
-        phase1_epochs=opts.phase1_epochs,
-        phase1_lr=opts.phase1_lr,
-        phase2_epochs=opts.phase2_epochs,
-        phase2_lr=opts.phase2_lr,
-        phase2_decay=opts.phase2_decay,
-        clip_norm=opts.clip_norm,
-        seed=shuffle_seed,
-        mode=opts.mode,
-    )
+    # the CLI's --seed is not TrainConfig.seed: the shuffle stream is one of its three spawns
+    cfg = _config(TrainConfig, opts, seed=shuffle_seed)
     result = train(model, train_utts, dev_utts, cfg)
     save_network(result.model, out.claim("model.net"))
     out.write_text("trainlog.tsv", format_train_log(result.log))
@@ -343,19 +335,10 @@ def cmd_train(opts, out):
 def cmd_decode(opts, out):
     model = load_network(opts.model)
     utts = load_corpus(opts.data)
-    lines = []
-    for u in utts:
-        try:
-            lattice, _ = network_forward(model, u.features)
-        except SequenceTooShortError:
-            lines.append("%s\t" % u.utt_id)
-            continue
-        if model.mode == "frame-classifier":
-            pred = classifier_frame_predictions(model, lattice)
-            text = " ".join(model.vocab.label_of(int(i)) for i in pred)
-        else:
-            text = " ".join(model.vocab.decode(greedy_decode(lattice)))
-        lines.append("%s\t%s" % (u.utt_id, text))
+    lines = [
+        "%s\t%s" % (u.utt_id, " ".join(model.vocab.decode(decode_utterance(model, u.features))))
+        for u in utts
+    ]
     out.write_text("hypotheses.tsv", "\n".join(lines) + "\n")
     print("decoded %d utterances" % len(utts))
     return EXIT_OK
@@ -367,24 +350,24 @@ def cmd_score(opts, out):
     missing = [utt_id for utt_id in hyps if utt_id not in refs]
     if missing:
         raise ManifestError("%s: no reference for %r" % (opts.hyp, missing[0]))
-    if opts.fer:
-        rows = []
-        for utt_id, hyp in hyps.items():
-            ref = refs[utt_id]
-            if len(ref) != len(hyp):
-                raise ManifestError(
-                    "frame counts differ for %r: %d vs %d" % (utt_id, len(ref), len(hyp))
-                )
-            rows.append((utt_id, sum(a != b for a, b in zip(ref, hyp)), len(ref)))
-        out.write_text("report.tsv", fer_report(rows))
-        total = sum(r[2] for r in rows)
-        wrong = sum(r[1] for r in rows)
-        print("FER%% %.4f over %d frames" % (100.0 * wrong / total if total else 0.0, total))
-        return EXIT_OK
-    stats = [(utt_id, edit_distance(refs[utt_id], hyp)) for utt_id, hyp in hyps.items()]
-    out.write_text("report.tsv", score_report(stats))
+    # every reference is scored: one without a hypothesis against the empty one
+    compare = frame_errors if opts.fer else edit_distance
+    stats = []
+    for utt_id in dict.fromkeys([*hyps, *refs]):
+        ref, hyp = refs[utt_id], hyps.get(utt_id, ())
+        if opts.fer and len(ref) != len(hyp):
+            raise ManifestError(
+                "%s: frame counts differ for %r: %d vs %d" % (opts.hyp, utt_id, len(ref), len(hyp))
+            )
+        stats.append((utt_id, compare(ref, hyp)))
     pooled = pool(st for _, st in stats)
-    print("WER%% %.4f over %d reference words" % (error_rate(pooled), pooled.ref_len))
+    if opts.fer:
+        out.write_text("report.tsv", fer_report(stats))
+        print("FER%% %.4f over %d frames" % (error_rate(pooled) if pooled.ref_len else 0.0,
+                                            pooled.ref_len))
+    else:
+        out.write_text("report.tsv", score_report(stats))
+        print("WER%% %.4f over %d reference words" % (error_rate(pooled), pooled.ref_len))
     return EXIT_OK
 
 

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ctc import collapse
+
 SIL = "SIL"
 
 FEAT_MAGIC = b"FEAT"
@@ -95,17 +97,6 @@ class Lexicon:
             return self.entries[word]
         except KeyError:
             raise UnknownWordError("no pronunciation for %r" % (word,)) from None
-
-
-def alignment_to_transcript(labels):
-    """Collapse per-frame word labels to the transcript: merge runs, drop SIL."""
-    out = []
-    prev = None
-    for lab in labels:
-        if lab != prev:
-            out.append(lab)
-            prev = lab
-    return tuple(w for w in out if w != SIL)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +230,7 @@ def load_corpus(corpus_dir, known_words=None):
                     "%s: alignment for %r has %d labels for %d frames"
                     % (align_path, utt_id, len(alignment), features.shape[0])
                 )
-            if alignment_to_transcript(alignment) != transcript:
+            if collapse(alignment, SIL) != transcript:
                 raise ManifestError(
                     "%s: alignment for %r does not collapse to its transcript"
                     % (align_path, utt_id)

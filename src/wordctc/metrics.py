@@ -1,7 +1,9 @@
 """Edit-distance scoring: WER/PER from Levenshtein alignments, FER from frame matches.
 
 Corpus-level rates pool the raw edit counts over utterances before dividing,
-which is not the same thing as averaging per-utterance rates.
+which is not the same thing as averaging per-utterance rates.  Frame
+mismatches are EditStats too (all substitutions), so pool and error_rate
+serve FER as well.
 """
 
 from dataclasses import dataclass
@@ -74,8 +76,8 @@ def error_rate(stats):
     return 100.0 * stats.total / stats.ref_len
 
 
-def frame_error_rate(ref_frames, hyp_frames):
-    """Percentage of frames whose labels disagree; lengths must match."""
+def frame_errors(ref_frames, hyp_frames):
+    """Frame mismatches as EditStats(wrong, 0, 0, frames); lengths must match."""
     ref_frames = list(ref_frames)
     hyp_frames = list(hyp_frames)
     if len(ref_frames) != len(hyp_frames):
@@ -83,10 +85,13 @@ def frame_error_rate(ref_frames, hyp_frames):
             "frame sequences must have equal length (%d vs %d)"
             % (len(ref_frames), len(hyp_frames))
         )
-    if not ref_frames:
-        raise ValueError("frame error rate needs at least one frame")
-    wrong = sum(a != b for a, b in zip(ref_frames, hyp_frames))
-    return 100.0 * wrong / len(ref_frames)
+    wrong = sum(1 for a, b in zip(ref_frames, hyp_frames) if a != b)
+    return EditStats(wrong, 0, 0, len(ref_frames))
+
+
+def frame_error_rate(ref_frames, hyp_frames):
+    """Percentage of frames whose labels disagree; lengths must match."""
+    return error_rate(frame_errors(ref_frames, hyp_frames))
 
 
 def pool(stats_iter):
@@ -97,40 +102,30 @@ def pool(stats_iter):
     return total
 
 
+def _report(header, counts, rows):
+    rows = list(rows)
+    lines = [header]
+    for utt_id, st in rows + [("ALL", pool(st for _, st in rows))]:
+        rate = "n/a" if st.ref_len == 0 else "%.4f" % error_rate(st)
+        lines.append("\t".join([utt_id, *("%d" % n for n in counts(st)), rate]))
+    return "\n".join(lines) + "\n"
+
+
 def score_report(rows):
     """Per-utterance and pooled edit stats as TSV with a one-line header.
 
     rows: iterable of (utterance id, EditStats).  The pooled line has id ALL.
     """
-    lines = ["id\tsub\tdel\tins\tref_len\terror_rate"]
-    pooled = EditStats(0, 0, 0, 0)
-    for utt_id, st in rows:
-        pooled = pooled + st
-        rate = "n/a" if st.ref_len == 0 else "%.4f" % error_rate(st)
-        lines.append(
-            "%s\t%d\t%d\t%d\t%d\t%s"
-            % (utt_id, st.substitutions, st.deletions, st.insertions, st.ref_len, rate)
-        )
-    rate = "n/a" if pooled.ref_len == 0 else "%.4f" % error_rate(pooled)
-    lines.append(
-        "ALL\t%d\t%d\t%d\t%d\t%s"
-        % (pooled.substitutions, pooled.deletions, pooled.insertions, pooled.ref_len, rate)
+    return _report(
+        "id\tsub\tdel\tins\tref_len\terror_rate",
+        lambda st: (st.substitutions, st.deletions, st.insertions, st.ref_len),
+        rows,
     )
-    return "\n".join(lines) + "\n"
 
 
 def fer_report(rows):
     """Per-utterance and pooled frame mismatches as TSV with a one-line header.
 
-    rows: iterable of (utterance id, mismatched frames, total frames).
+    rows: iterable of (utterance id, EditStats from frame_errors).
     """
-    lines = ["id\twrong\tframes\tframe_error_rate"]
-    wrong_all = frames_all = 0
-    for utt_id, wrong, frames in rows:
-        wrong_all += wrong
-        frames_all += frames
-        rate = "n/a" if frames == 0 else "%.4f" % (100.0 * wrong / frames)
-        lines.append("%s\t%d\t%d\t%s" % (utt_id, wrong, frames, rate))
-    rate = "n/a" if frames_all == 0 else "%.4f" % (100.0 * wrong_all / frames_all)
-    lines.append("ALL\t%d\t%d\t%s" % (wrong_all, frames_all, rate))
-    return "\n".join(lines) + "\n"
+    return _report("id\twrong\tframes\tframe_error_rate", lambda st: (st.total, st.ref_len), rows)

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from .ctc import Vocabulary
+from .data import DataFormatError
 from .numerics import log_softmax
 
 INIT_SCALE = 0.05
@@ -31,13 +32,8 @@ class SequenceTooShortError(ValueError):
     """Input has too few frames for the configured down-sampling."""
 
 
-class NetworkFormatError(ValueError):
+class NetworkFormatError(DataFormatError):
     """Malformed network checkpoint file."""
-
-
-def init_random(shape, seed):
-    """Uniform parameters in [-0.05, 0.05] from a seeded PCG64 stream."""
-    return np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
 def downsample(seq):
@@ -464,28 +460,30 @@ def load_network(path):
         raise NetworkFormatError("%s: header truncated at byte %d" % (path, len(data)))
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except ValueError as exc:
+        vocab = Vocabulary(tuple(header["labels"]), header["reserved"])
+        hidden_dims = [int(h) for h in header["hidden_dims"]]
+        input_dim = int(header["input_dim"])
+        layers = []
+        d = input_dim
+        for h in hidden_dims:
+            zero_w = np.zeros((h, d + h))
+            zero_b = np.zeros(h)
+            layers.append(LSTMLayer(zero_w, zero_w.copy(), zero_w.copy(), zero_w.copy(),
+                                    zero_b, zero_b.copy(), zero_b.copy(), zero_b.copy()))
+            d = h
+        net = Network(
+            layers,
+            header["downsample"],
+            np.zeros((vocab.size, d)),
+            np.zeros(vocab.size),
+            vocab,
+            header["mode"],
+            header["lookahead"],
+        )
+    except KeyError as exc:
+        raise NetworkFormatError("%s: header has no key %s" % (path, exc)) from None
+    except (TypeError, ValueError) as exc:
         raise NetworkFormatError("%s: bad header (%s)" % (path, exc)) from None
-    vocab = Vocabulary(tuple(header["labels"]), header["reserved"])
-    hidden_dims = [int(h) for h in header["hidden_dims"]]
-    input_dim = int(header["input_dim"])
-    layers = []
-    d = input_dim
-    for h in hidden_dims:
-        zero_w = np.zeros((h, d + h))
-        zero_b = np.zeros(h)
-        layers.append(LSTMLayer(zero_w, zero_w.copy(), zero_w.copy(), zero_w.copy(),
-                                zero_b, zero_b.copy(), zero_b.copy(), zero_b.copy()))
-        d = h
-    net = Network(
-        layers,
-        header["downsample"],
-        np.zeros((vocab.size, d)),
-        np.zeros(vocab.size),
-        vocab,
-        header["mode"],
-        header["lookahead"],
-    )
     offset = 12 + header_len
     for p in net.params():
         nbytes = p.size * 8

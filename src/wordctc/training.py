@@ -14,7 +14,7 @@ import numpy as np
 
 from .ctc import InfeasibleTargetError, ctc_log_likelihood, ctc_loss_and_gradient, greedy_decode
 from .data import Utterance
-from .metrics import EditStats, edit_distance, error_rate
+from .metrics import edit_distance, error_rate, frame_errors, pool
 from .network import SequenceTooShortError, network_backward, network_forward, sgd_update
 from .numerics import clip_global_norm
 
@@ -141,55 +141,63 @@ def _utterance_pass(model, features, target):
     return loss, d_logits, n_labels, tape
 
 
+def _lattice(model, features):
+    """Forward pass without the tape; None when the utterance is too short
+    for the model's down-sampling."""
+    try:
+        return network_forward(model, features)[0]
+    except SequenceTooShortError:
+        return None
+
+
+def decode_utterance(model, features):
+    """Greedy output label ids for one utterance.
+
+    The collapsed best path for the CTC modes, one prediction per frame for
+    the frame classifier, and () when the utterance is too short for the
+    model's down-sampling, which scoring counts as a full deletion.
+    """
+    lattice = _lattice(model, features)
+    if lattice is None:
+        return ()
+    if model.mode == "frame-classifier":
+        return classifier_frame_predictions(model, lattice)
+    return greedy_decode(lattice)
+
+
 def evaluate(model, utterances):
     """Pooled dev metric for the model's mode: WER/PER for CTC, FER otherwise.
 
     Utterances too short to run through the network count as fully deleted
-    (CTC) or fully wrong (classifier) rather than being dropped.
+    rather than being dropped.
     """
     return _evaluate_prepared(model, _prepare(utterances, model))
 
 
 def _evaluate_prepared(model, prepared):
+    compare = edit_distance
     if model.mode == "frame-classifier":
         if model.rate_factor != 1:
             raise ValueError("frame classification requires down-sampling factor 1")
-        wrong = total = 0
-        for _, features, target in prepared:
-            try:
-                lattice, _ = network_forward(model, features)
-            except SequenceTooShortError:
-                wrong += len(target)
-                total += len(target)
-                continue
-            pred = classifier_frame_predictions(model, lattice)
-            wrong += int(np.sum(pred != target))
-            total += len(target)
-        if total == 0:
-            raise ValueError("no frames to evaluate")
-        return 100.0 * wrong / total
-    pooled = EditStats(0, 0, 0, 0)
-    for _, features, target in prepared:
-        try:
-            lattice, _ = network_forward(model, features)
-            hyp = greedy_decode(lattice)
-        except SequenceTooShortError:
-            hyp = ()
-        pooled = pooled + edit_distance(target, hyp)
-    return error_rate(pooled)
+        compare = frame_errors
+    return error_rate(pool(
+        compare(target, decode_utterance(model, features)) for _, features, target in prepared
+    ))
 
 
 def training_perplexity(model, utterances):
     """Summed negative log-likelihood divided by the number of labels.
 
     CTC modes count target labels; the frame classifier counts scored
-    frames.  Infeasible utterances contribute +inf.
+    frames.  Infeasible and too-short utterances contribute +inf.
     """
     total = 0.0
     n_labels = 0
     for _, features, target in _prepare(utterances, model):
-        lattice, _ = network_forward(model, features)
-        if model.mode == "frame-classifier":
+        lattice = _lattice(model, features)
+        if lattice is None:
+            loss, n = math.inf, len(target)
+        elif model.mode == "frame-classifier":
             loss, _, n = frame_loss_and_gradient(model, lattice, target)
         else:
             loss = -ctc_log_likelihood(lattice, target)

@@ -1,7 +1,15 @@
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from wordctc.cli import main
+from wordctc.ctc import Vocabulary
+from wordctc.data import Utterance, save_corpus
+from wordctc.network import Network, downsample_schedule, save_network
+from wordctc.training import evaluate, training_perplexity
 
 TINY_SYNTH = [
     "--vocab-size", "8", "--n-phonemes", "6", "--feature-dim", "4",
@@ -187,6 +195,46 @@ class TestDecodeAndScore:
         assert run("score", "--ref", data_dir / "dev" / "corpus.tsv",
                    "--hyp", hyp, "--out-dir", tmp_path / "s") == 3
 
+    def test_score_keeps_references_without_hypothesis(self, tmp_path, data_dir):
+        refs = data_dir / "dev" / "corpus.tsv"
+        first = refs.read_text().split("\n")[0].split("\t")
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("%s\t%s\n" % (first[0], first[2]))
+        assert run("score", "--ref", refs, "--hyp", hyp, "--out-dir", tmp_path / "s") == 0
+        report = (tmp_path / "s" / "report.tsv").read_text().strip().split("\n")
+        words = [line.split("\t")[2].split() for line in refs.read_text().strip().split("\n")]
+        assert len(report) == 1 + len(words) + 1
+        pooled = report[-1].split("\t")
+        assert int(pooled[4]) == sum(len(w) for w in words)
+        # the unmatched references are full deletions
+        assert int(pooled[2]) == sum(len(w) for w in words[1:])
+
+    def test_score_fer_missing_hypothesis(self, tmp_path, data_dir, capsys):
+        align = data_dir / "dev" / "align.tsv"
+        lines = align.read_text().strip().split("\n")
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text(lines[0] + "\n")
+        assert run("score", "--ref", align, "--hyp", hyp, "--out-dir", tmp_path / "s",
+                   "--fer") == 3
+        assert lines[1].split("\t")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["half", "no-labels"])
+    def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
+        blob = (model_dir / "model.net").read_bytes()
+        if damage == "half":
+            blob = blob[: len(blob) // 2]
+        else:
+            (header_len,) = struct.unpack_from("<I", blob, 8)
+            header = json.loads(blob[12 : 12 + header_len])
+            del header["labels"]
+            text = json.dumps(header).encode()
+            blob = blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :]
+        broken = tmp_path / "broken.net"
+        broken.write_bytes(blob)
+        assert run("decode", "--model", broken, "--data", data_dir / "dev",
+                   "--out-dir", tmp_path / "d") == 3
+        assert str(broken) in capsys.readouterr().err
+
     def test_corrupt_feature_file(self, tmp_path, data_dir, model_dir):
         import shutil
 
@@ -196,6 +244,22 @@ class TestDecodeAndScore:
         feat.write_bytes(feat.read_bytes()[:10])
         assert run("decode", "--model", model_dir / "model.net",
                    "--data", broken, "--out-dir", tmp_path / "d") == 3
+
+
+class TestTooShort:
+    def test_one_policy_for_evaluate_decode_and_perplexity(self, tmp_path):
+        # 3 frames halve to 1 before the second layer, which cannot halve again
+        vocab = Vocabulary(("a", "b"))
+        net = Network.random(4, [6, 6], vocab, "word-ctc",
+                             downsample=downsample_schedule(4, 2), seed=0)
+        utt = Utterance("short", np.zeros((3, 4), dtype=np.float32), ("a",))
+        assert evaluate(net, [utt]) == 100.0
+        assert training_perplexity(net, [utt]) == math.inf
+        save_network(net, tmp_path / "model.net")
+        save_corpus([utt], tmp_path / "data")
+        assert run("decode", "--model", tmp_path / "model.net", "--data", tmp_path / "data",
+                   "--out-dir", tmp_path / "dec") == 0
+        assert (tmp_path / "dec" / "hypotheses.tsv").read_text() == "short\t\n"
 
 
 class TestAnalyze:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wordctc.ctc import collapse
 from wordctc.data import (
     SIL,
     FeatureFileError,
@@ -10,7 +11,6 @@ from wordctc.data import (
     TruncatedFileError,
     UnknownWordError,
     Utterance,
-    alignment_to_transcript,
     generate_synthetic,
     load_corpus,
     load_features,
@@ -182,7 +182,7 @@ class TestGenerator:
         corpus = generate_synthetic(SMALL)
         for u in corpus.train + corpus.dev + corpus.test:
             assert len(u.alignment) == u.n_frames
-            assert alignment_to_transcript(u.alignment) == u.transcript
+            assert collapse(u.alignment, SIL) == u.transcript
 
     def test_noise_free_prototypes_repeat_exactly(self):
         cfg = SynthConfig(seed=1, vocab_size=1, n_phonemes=1, feature_dim=3,

@@ -11,6 +11,7 @@ from wordctc.metrics import (
     error_rate,
     fer_report,
     frame_error_rate,
+    frame_errors,
     pool,
     score_report,
 )
@@ -154,5 +155,6 @@ class TestReports:
         assert lines[-1].endswith("25.0000")
 
     def test_fer_report_pooled(self):
-        text = fer_report([("u1", 1, 4), ("u2", 0, 4)])
+        rows = [("u1", frame_errors("aaaa", "aaab")), ("u2", frame_errors("bbbb", "bbbb"))]
+        text = fer_report(rows)
         assert text.strip().split("\n")[-1] == "ALL\t1\t8\t12.5000"
