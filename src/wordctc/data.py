@@ -39,7 +39,7 @@ class DataFormatError(ValueError):
 
 
 class FeatureFileError(DataFormatError):
-    """Bad magic, version, or trailing bytes in a feature file."""
+    """Bad magic, version, trailing bytes or non-finite values in a feature file."""
 
 
 class TruncatedFileError(DataFormatError):
@@ -128,11 +128,13 @@ def load_features(path):
         )
     if len(data) > expected:
         raise FeatureFileError("%s: %d trailing bytes" % (path, len(data) - expected))
-    return (
-        np.frombuffer(data, dtype="<f4", count=n_frames * dim, offset=_FEAT_HEADER.size)
-        .reshape(n_frames, dim)
-        .copy()
-    )
+    feats = np.frombuffer(data, dtype="<f4", count=n_frames * dim, offset=_FEAT_HEADER.size)
+    feats = feats.reshape(n_frames, dim)
+    finite = np.isfinite(feats)
+    if not finite.all():
+        frame = int(np.argmin(finite.all(axis=1)))
+        raise FeatureFileError("%s: non-finite value in frame %d" % (path, frame))
+    return feats.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,8 @@ def save_corpus(utterances, out_dir):
 
 
 def load_corpus(corpus_dir, known_words=None):
-    """Read a corpus directory written by save_corpus.
+    """Read a corpus directory written by save_corpus; it must list at least
+    one utterance.
 
     When known_words is given, every transcript word must be in it.
     Alignments (when present) must have one label per frame and collapse to
@@ -236,6 +239,8 @@ def load_corpus(corpus_dir, known_words=None):
                     % (align_path, utt_id)
                 )
         utterances.append(Utterance(utt_id, features, transcript, alignment))
+    if not utterances:
+        raise ManifestError("%s: lists no utterance" % manifest)
     if alignments:
         raise ManifestError(
             "%s: alignment for unknown utterance %r" % (align_path, sorted(alignments)[0])

@@ -32,35 +32,41 @@ class EditStats:
 def edit_distance(ref, hyp):
     """Minimal-edit alignment counts between two sequences.
 
-    Ties between minimal alignments are broken by preferring substitution,
-    then insertion, then deletion, so the individual counts are
-    deterministic.
+    Among minimal alignments the one with the fewest insertions plus
+    deletions (the most substitutions) wins.  Total, difference of lengths
+    and that sum fix all three counts, so they are deterministic and
+    swapping ref and hyp swaps insertions and deletions.
     """
     ref = list(ref)
     hyp = list(hyp)
     n, m = len(ref), len(hyp)
+    # an indel costs one unit more than a substitution, and fewer than
+    # n + m + 1 indels fit, so the weighted minimum is the minimal edit
+    # count first and the fewest indels second
+    sub = n + m + 1
+    indel = sub + 1
     d = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
-        d[i][0] = i
+        d[i][0] = i * indel
     for j in range(m + 1):
-        d[0][j] = j
+        d[0][j] = j * indel
     for i in range(1, n + 1):
         row = d[i]
         prev = d[i - 1]
         r = ref[i - 1]
         for j in range(1, m + 1):
-            cost = prev[j - 1] + (r != hyp[j - 1])
-            ins = row[j - 1] + 1
-            dele = prev[j] + 1
+            cost = prev[j - 1] + sub * (r != hyp[j - 1])
+            ins = row[j - 1] + indel
+            dele = prev[j] + indel
             row[j] = cost if cost <= ins and cost <= dele else (ins if ins <= dele else dele)
     subs = dels = ins = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + sub * (ref[i - 1] != hyp[j - 1]):
             subs += ref[i - 1] != hyp[j - 1]
             i -= 1
             j -= 1
-        elif j > 0 and d[i][j] == d[i][j - 1] + 1:
+        elif j > 0 and d[i][j] == d[i][j - 1] + indel:
             ins += 1
             j -= 1
         else:

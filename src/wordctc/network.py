@@ -68,66 +68,56 @@ def downsample_schedule(factor, n_layers):
     return tuple(counts)
 
 
-class LSTMLayer:
-    """One LSTM layer, no peepholes.  Gate order everywhere: input, forget,
-    output, cell candidate.  Each gate weight is (hidden, input + hidden)
-    with the input block first."""
+def _per_gate(w, b):
+    """Views of stacked (4H, .) weights and (4H,) bias, one per gate and in
+    checkpoint order: w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g."""
+    return [*np.split(w, 4), *np.split(b, 4)]
 
-    def __init__(self, w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g):
-        self.w_i = np.asarray(w_i, dtype=np.float64)
-        self.w_f = np.asarray(w_f, dtype=np.float64)
-        self.w_o = np.asarray(w_o, dtype=np.float64)
-        self.w_g = np.asarray(w_g, dtype=np.float64)
-        self.b_i = np.asarray(b_i, dtype=np.float64)
-        self.b_f = np.asarray(b_f, dtype=np.float64)
-        self.b_o = np.asarray(b_o, dtype=np.float64)
-        self.b_g = np.asarray(b_g, dtype=np.float64)
-        h = self.w_i.shape[0]
-        if self.w_i.ndim != 2 or self.w_i.shape[1] <= h:
-            raise ValueError("gate weights must be (hidden, input + hidden)")
-        for w in (self.w_f, self.w_o, self.w_g):
-            if w.shape != self.w_i.shape:
-                raise ValueError("gate weight shapes disagree")
-        for b in (self.b_i, self.b_f, self.b_o, self.b_g):
-            if b.shape != (h,):
-                raise ValueError("gate bias shapes disagree")
+
+class LSTMLayer:
+    """One LSTM layer, no peepholes.
+
+    `w` is (4 * hidden, input + hidden) and `b` is (4 * hidden,): the gates
+    are stacked in the order input, forget, output, cell candidate, and each
+    gate's input columns come before its recurrent ones.  `w_i` ... `b_g` are
+    read-only views of the gate blocks.
+    """
+
+    def __init__(self, w, b):
+        self.w = np.asarray(w, dtype=np.float64)
+        self.b = np.asarray(b, dtype=np.float64)
+        if self.w.ndim != 2 or self.w.shape[0] % 4 or self.w.shape[1] <= self.w.shape[0] // 4:
+            raise ValueError("weights must be (4 * hidden, input + hidden)")
+        h = self.w.shape[0] // 4
+        if self.b.shape != (4 * h,):
+            raise ValueError("bias must be (4 * hidden,)")
         self.hidden_dim = h
-        self.input_dim = self.w_i.shape[1] - h
+        self.input_dim = self.w.shape[1] - h
+
+    w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g = (
+        property(lambda self, k=k: self.params()[k]) for k in range(8)
+    )
 
     @classmethod
     def random(cls, input_dim, hidden_dim, rng):
         """Weights uniform in +/-0.05; forget bias 1, the other biases 0."""
-        shape = (hidden_dim, input_dim + hidden_dim)
-        ws = [rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape) for _ in range(4)]
-        bs = [
-            np.zeros(hidden_dim),
-            np.ones(hidden_dim),
-            np.zeros(hidden_dim),
-            np.zeros(hidden_dim),
-        ]
-        return cls(*ws, *bs)
+        w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(4 * hidden_dim, input_dim + hidden_dim))
+        b = np.zeros(4 * hidden_dim)
+        b[hidden_dim : 2 * hidden_dim] = 1.0
+        return cls(w, b)
 
     def params(self):
-        return [self.w_i, self.w_f, self.w_o, self.w_g, self.b_i, self.b_f, self.b_o, self.b_g]
+        """The per-gate views of `w` and `b`, in checkpoint order."""
+        return _per_gate(self.w, self.b)
 
     def copy(self):
-        return LSTMLayer(*(p.copy() for p in self.params()))
-
-    def _stacked(self):
-        d = self.input_dim
-        wx = np.concatenate([w[:, :d] for w in (self.w_i, self.w_f, self.w_o, self.w_g)])
-        wh = np.concatenate([w[:, d:] for w in (self.w_i, self.w_f, self.w_o, self.w_g)])
-        b = np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g])
-        return wx, wh, b
+        return LSTMLayer(self.w.copy(), self.b.copy())
 
 
 @dataclass
 class LayerTape:
     inputs: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    gate_g: np.ndarray
+    gates: np.ndarray  # (T, 4 * hidden) activations, stacked like the weights
     cell: np.ndarray
     tanh_cell: np.ndarray
     hidden: np.ndarray
@@ -140,12 +130,11 @@ def lstm_forward(layer, inputs):
         raise ValueError("expected (T, %d) inputs, got %r" % (layer.input_dim, x.shape))
     T = x.shape[0]
     H = layer.hidden_dim
-    wx, wh, b = layer._stacked()
-    gx = x @ wx.T + b
-    i = np.empty((T, H))
-    f = np.empty((T, H))
-    o = np.empty((T, H))
-    g = np.empty((T, H))
+    D = layer.input_dim
+    wh = layer.w[:, D:]
+    gx = x @ layer.w[:, :D].T + layer.b
+    gates = np.empty((T, 4 * H))
+    i, f, o, g = gates.reshape(T, 4, H).transpose(1, 0, 2)
     c = np.empty((T, H))
     tc = np.empty((T, H))
     h = np.empty((T, H))
@@ -153,75 +142,51 @@ def lstm_forward(layer, inputs):
     c_prev = np.zeros(H)
     for t in range(T):
         a = gx[t] + wh @ h_prev
-        i[t] = expit(a[:H])
-        f[t] = expit(a[H : 2 * H])
-        o[t] = expit(a[2 * H : 3 * H])
-        g[t] = np.tanh(a[3 * H :])
+        expit(a[: 3 * H], out=gates[t, : 3 * H])
+        np.tanh(a[3 * H :], out=gates[t, 3 * H :])
         c[t] = f[t] * c_prev + i[t] * g[t]
         tc[t] = np.tanh(c[t])
         h[t] = o[t] * tc[t]
         h_prev = h[t]
         c_prev = c[t]
-    return h, LayerTape(x, i, f, o, g, c, tc, h)
-
-
-@dataclass
-class LayerGrads:
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
-
-    def params(self):
-        return [self.w_i, self.w_f, self.w_o, self.w_g, self.b_i, self.b_f, self.b_o, self.b_g]
+    return h, LayerTape(x, gates, c, tc, h)
 
 
 def lstm_backward(layer, tape, d_hidden):
     """Backpropagation through time for one layer.
 
     d_hidden is the (T, hidden) gradient arriving at the layer's outputs;
-    returns (d_inputs, LayerGrads).
+    returns (d_inputs, grads) where grads are the per-gate views of the
+    stacked weight and bias gradients, in the order of `layer.params()`.
     """
     d_hidden = np.asarray(d_hidden, dtype=np.float64)
     T = tape.inputs.shape[0]
     H = layer.hidden_dim
+    D = layer.input_dim
     if d_hidden.shape != (T, H):
         raise ValueError("expected (%d, %d) output grads, got %r" % (T, H, d_hidden.shape))
-    wx, wh, _ = layer._stacked()
+    wh = layer.w[:, D:]
+    i, f, o, g = tape.gates.reshape(T, 4, H).transpose(1, 0, 2)
     d_act = np.empty((T, 4 * H))
     dh_rec = np.zeros(H)
     dc_rec = np.zeros(H)
     for t in range(T - 1, -1, -1):
         dh = d_hidden[t] + dh_rec
         do = dh * tape.tanh_cell[t]
-        dc = dh * tape.gate_o[t] * (1.0 - tape.tanh_cell[t] ** 2) + dc_rec
+        dc = dh * o[t] * (1.0 - tape.tanh_cell[t] ** 2) + dc_rec
         c_prev = tape.cell[t - 1] if t > 0 else 0.0
-        d_act[t, :H] = dc * tape.gate_g[t] * tape.gate_i[t] * (1.0 - tape.gate_i[t])
-        d_act[t, H : 2 * H] = dc * c_prev * tape.gate_f[t] * (1.0 - tape.gate_f[t])
-        d_act[t, 2 * H : 3 * H] = do * tape.gate_o[t] * (1.0 - tape.gate_o[t])
-        d_act[t, 3 * H :] = dc * tape.gate_i[t] * (1.0 - tape.gate_g[t] ** 2)
-        dc_rec = dc * tape.gate_f[t]
+        d_act[t, :H] = dc * g[t] * i[t] * (1.0 - i[t])
+        d_act[t, H : 2 * H] = dc * c_prev * f[t] * (1.0 - f[t])
+        d_act[t, 2 * H : 3 * H] = do * o[t] * (1.0 - o[t])
+        d_act[t, 3 * H :] = dc * i[t] * (1.0 - g[t] ** 2)
+        dc_rec = dc * f[t]
         dh_rec = d_act[t] @ wh
     h_prev = np.vstack([np.zeros((1, H)), tape.hidden[:-1]])
     z = np.hstack([tape.inputs, h_prev])
     dw = d_act.T @ z
     db = d_act.sum(axis=0)
-    d_inputs = d_act @ wx
-    grads = LayerGrads(
-        dw[:H],
-        dw[H : 2 * H],
-        dw[2 * H : 3 * H],
-        dw[3 * H :],
-        db[:H],
-        db[H : 2 * H],
-        db[2 * H : 3 * H],
-        db[3 * H :],
-    )
-    return d_inputs, grads
+    d_inputs = d_act @ layer.w[:, :D]
+    return d_inputs, _per_gate(dw, db)
 
 
 class Network:
@@ -292,8 +257,8 @@ class Network:
         """Fresh network with uniform(-0.05, 0.05) weights.
 
         All weights come from one PCG64 stream seeded with `seed`, drawn in
-        layer order (gates i, f, o, g per layer) and the softmax weights
-        last, so equal seeds give bit-identical parameters.
+        layer order (one stacked (4H, D+H) block per layer) and the softmax
+        weights last, so equal seeds give bit-identical parameters.
         """
         rng = np.random.default_rng(seed)
         hidden_dims = [int(h) for h in hidden_dims]
@@ -326,7 +291,7 @@ class NetworkGradients:
     def arrays(self):
         out = []
         for g in self.layers:
-            out.extend(g.params())
+            out.extend(g)
         out.append(self.w_out)
         out.append(self.b_out)
         return out
@@ -410,10 +375,10 @@ def transfer_bottom_layers(src, dst, k):
     if k > len(src.layers):
         raise ValueError("source has only %d layers" % len(src.layers))
     for i in range(k):
-        if src.layers[i].w_i.shape != dst.layers[i].w_i.shape:
+        if src.layers[i].w.shape != dst.layers[i].w.shape:
             raise ValueError(
                 "layer %d shape mismatch: %r vs %r"
-                % (i, src.layers[i].w_i.shape, dst.layers[i].w_i.shape)
+                % (i, src.layers[i].w.shape, dst.layers[i].w.shape)
             )
     out = dst.copy()
     out.layers[:k] = [src.layers[i].copy() for i in range(k)]
@@ -425,9 +390,10 @@ def save_network(net, path):
 
     Layout: magic "WNET", u32 format version, u32 header length, a JSON
     structure header (mode, lookahead, dims, down-sampling counts, labels),
-    then every parameter as raw little-endian float64 in declaration order:
-    per layer w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g, then the softmax
-    weights and bias.  Round-trips are bit-exact.
+    then every parameter as raw little-endian float64, row-major: per layer
+    the (4H, D+H) weights `w` (gates i, f, o, g, each with its input columns
+    first) and the (4H,) bias `b`, then the softmax weights and bias.
+    Round-trips are bit-exact.
     """
     header = {
         "mode": net.mode,
@@ -466,10 +432,7 @@ def load_network(path):
         layers = []
         d = input_dim
         for h in hidden_dims:
-            zero_w = np.zeros((h, d + h))
-            zero_b = np.zeros(h)
-            layers.append(LSTMLayer(zero_w, zero_w.copy(), zero_w.copy(), zero_w.copy(),
-                                    zero_b, zero_b.copy(), zero_b.copy(), zero_b.copy()))
+            layers.append(LSTMLayer(np.zeros((4 * h, d + h)), np.zeros(4 * h)))
             d = h
         net = Network(
             layers,

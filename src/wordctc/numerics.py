@@ -44,12 +44,15 @@ def clip_global_norm(grads, max_norm):
 
     Returns (grads, factor).  The inputs come back untouched with factor 1.0
     when the norm is already inside the bound; the comparison carries a 1e-12
-    relative slack so clipping an already-clipped collection is a no-op.
+    relative slack so clipping an already-clipped collection is a no-op.  A
+    non-finite norm cannot be clipped and raises FloatingPointError.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     grads = list(grads)
     norm = global_norm(grads)
+    if not math.isfinite(norm):
+        raise FloatingPointError("gradient norm is %r" % norm)
     if norm <= max_norm * (1.0 + 1e-12):
         return grads, 1.0
     factor = max_norm / norm

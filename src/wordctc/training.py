@@ -215,7 +215,8 @@ def train(model, train_utterances, dev_utterances, cfg):
     Every epoch shuffles the utterance order deterministically from
     cfg.seed.  Infeasible utterances are skipped with a logged warning and
     counted in the epoch record; an epoch with no usable utterance raises
-    TrainingError.
+    TrainingError, and so does a non-finite loss or gradient norm, before
+    the update it would corrupt.
     """
     if not train_utterances or not dev_utterances:
         raise ValueError("train and dev sets must be nonempty")
@@ -251,8 +252,14 @@ def train(model, train_utterances, dev_utterances, cfg):
                     skipped += 1
                     log.warning("epoch %d: skipping %s: %s", epoch, utt_id, exc)
                     continue
+                where = "epoch %d: utterance %s" % (epoch, utt_id)
+                if not math.isfinite(loss):
+                    raise TrainingError("%s: loss is %r" % (where, loss))
                 grads, _ = network_backward(model, tape, d_logits)
-                clipped, factor = clip_global_norm(grads.arrays(), cfg.clip_norm)
+                try:
+                    clipped, factor = clip_global_norm(grads.arrays(), cfg.clip_norm)
+                except FloatingPointError as exc:
+                    raise TrainingError("%s: %s" % (where, exc)) from None
                 clip_events += factor < 1.0
                 sgd_update(model, clipped, lr)
                 loss_sum += loss

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shutil
 import struct
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from wordctc.cli import main
 from wordctc.ctc import Vocabulary
-from wordctc.data import Utterance, save_corpus
+from wordctc.data import Utterance, load_features, save_corpus, save_features
 from wordctc.network import Network, downsample_schedule, save_network
 from wordctc.training import evaluate, training_perplexity
 
@@ -236,14 +238,44 @@ class TestDecodeAndScore:
         assert str(broken) in capsys.readouterr().err
 
     def test_corrupt_feature_file(self, tmp_path, data_dir, model_dir):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(data_dir / "dev", broken)
         feat = sorted((broken / "feats").glob("*.feat"))[0]
         feat.write_bytes(feat.read_bytes()[:10])
         assert run("decode", "--model", model_dir / "model.net",
                    "--data", broken, "--out-dir", tmp_path / "d") == 3
+
+
+def _nan_frame(data):
+    feat = sorted((data / "train" / "feats").glob("*.feat"))[0]
+    feats = load_features(feat)
+    feats[2] = np.nan
+    save_features(feat, feats)
+    return [], [re.escape(str(feat)), "frame 2"]
+
+
+def _empty_train(data):
+    (data / "train" / "corpus.tsv").write_text("")
+    (data / "train" / "align.tsv").write_text("")
+    return [], [re.escape(str(data / "train" / "corpus.tsv"))]
+
+
+def _diverge(data):
+    return ["--phase1-lr", "1e300", "--clip-norm", "1e300"], [r"epoch 1: utterance train-\d+"]
+
+
+class TestTrainFailureModes:
+    @pytest.mark.parametrize("damage, code", [(_nan_frame, 3), (_empty_train, 3), (_diverge, 5)])
+    def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, damage, code):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        extra, patterns = damage(data)
+        out = tmp_path / "out"
+        assert run("train", "--data", data, "--out-dir", out, *TINY_TRAIN, *extra) == code
+        err = capsys.readouterr().err
+        for pattern in patterns:
+            assert re.search(pattern, err), (pattern, err)
+        assert not list(out.iterdir())
 
 
 class TestTooShort:

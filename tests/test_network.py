@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -75,9 +77,7 @@ class TestDownsampleSchedule:
 class TestLSTMForward:
     def test_zero_weights_zero_inputs(self):
         h = 5
-        zeros_w = np.zeros((h, 3 + h))
-        zeros_b = np.zeros(h)
-        layer = LSTMLayer(*(zeros_w.copy() for _ in range(4)), *(zeros_b.copy() for _ in range(4)))
+        layer = LSTMLayer(np.zeros((4 * h, 3 + h)), np.zeros(4 * h))
         out, _ = lstm_forward(layer, np.zeros((4, 3)))
         np.testing.assert_array_equal(out, np.zeros((4, h)))
 
@@ -140,7 +140,7 @@ class TestLSTMBackward:
         _, tape = lstm_forward(layer, rng.normal(size=(5, 3)))
         d_in, grads = lstm_backward(layer, tape, np.zeros((5, 4)))
         np.testing.assert_array_equal(d_in, np.zeros((5, 3)))
-        for g in grads.params():
+        for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_finite_differences_single_layer(self):
@@ -155,7 +155,7 @@ class TestLSTMBackward:
 
         out, tape = lstm_forward(layer, x)
         d_in, grads = lstm_backward(layer, tape, out - target)
-        for p, g in zip(layer.params(), grads.params()):
+        for p, g in zip(layer.params(), grads):
             assert fd_check(p, g, loss) < 1e-4
 
         # input gradients too
@@ -343,6 +343,19 @@ class TestSerialization:
         assert loaded.vocab.reserved == net.vocab.reserved
         for p, q in zip(net.params(), loaded.params()):
             assert p.tobytes() == q.tobytes()
+
+    def test_golden_checkpoint_bytes(self, tmp_path):
+        # pins the initialization draw order and the on-disk parameter layout
+        net = Network.random(4, [6, 5], VOCAB, "word-ctc", downsample=(1, 1), seed=3)
+        path = tmp_path / "golden.net"
+        save_network(net, path)
+        blob = path.read_bytes()
+        assert len(blob) == 4364
+        assert hashlib.sha256(blob).hexdigest() == (
+            "4e3cbbbfa57172c10aa1be14854cccedb22f5324e2235a218ddd333471509226"
+        )
+        save_network(load_network(path), tmp_path / "again.net")
+        assert (tmp_path / "again.net").read_bytes() == blob
 
     def test_save_is_deterministic(self, tmp_path):
         net = tiny_net(seed=5)

@@ -98,6 +98,11 @@ class TestClipGlobalNorm:
         with pytest.raises(ValueError):
             clip_global_norm([np.ones(3)], 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_norm_rejected(self, bad):
+        with pytest.raises(FloatingPointError):
+            clip_global_norm([np.array([1.0, bad])], 5.0)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, seed):
