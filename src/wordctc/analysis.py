@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as scipy_stats
 
+FAR_RANKS = (48, 50)  # overlap_histograms' far neighbor band
+BLANK_TOP = 25  # blank_distance_report's nearest-neighbor count
+
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
@@ -38,8 +41,13 @@ class NeighborList:
     distances: tuple
 
 
-def _distances_from(emb, row_id):
-    return np.linalg.norm(emb.vectors - emb.vectors[row_id], axis=1)
+def _ranked(vectors, row):
+    """The other rows' ids by L2 distance from `row`, nearest first, and
+    those distances; the sort is stable, so ties go to the lower row."""
+    ids = np.delete(np.arange(len(vectors)), row)
+    dist = np.linalg.norm(vectors[ids] - vectors[row], axis=1)
+    order = np.argsort(dist, kind="stable")
+    return ids[order], dist[order]
 
 
 def neighbors(emb, word, k):
@@ -54,13 +62,8 @@ def neighbors(emb, word, k):
         raise ValueError("row id %d out of range" % row)
     if not 1 <= k <= n - 1:
         raise ValueError("k must be in [1, %d], got %d" % (n - 1, k))
-    dist = _distances_from(emb, row)
-    ids = np.concatenate([np.arange(row), np.arange(row + 1, n)])
-    dist = dist[ids]
-    order = np.argsort(dist, kind="stable")[:k]
-    return NeighborList(
-        tuple(int(i) for i in ids[order]), tuple(float(d) for d in dist[order])
-    )
+    ids, dist = _ranked(emb.vectors, row)
+    return NeighborList(tuple(int(i) for i in ids[:k]), tuple(float(d) for d in dist[:k]))
 
 
 def margin(emb, word):
@@ -97,7 +100,7 @@ class OverlapHistograms:
         return float(self.far_values.mean())
 
 
-def overlap_histograms(emb, lexicon, close_ranks=(1, 3), far_ranks=(48, 50), n_bins=20):
+def overlap_histograms(emb, lexicon, close_ranks=(1, 3), far_ranks=FAR_RANKS, n_bins=20):
     """Pronunciation overlap of every word against its close and far neighbors.
 
     Only rows with a pronunciation participate (the blank row never does),
@@ -108,15 +111,11 @@ def overlap_histograms(emb, lexicon, close_ranks=(1, 3), far_ranks=(48, 50), n_b
     needed = far_ranks[1] + 1
     if len(words) < needed:
         raise ValueError("need at least %d words with pronunciations, have %d" % (needed, len(words)))
-    rows = np.array([emb.vocab.id_of(w) for w in words])
-    sub = emb.vectors[rows]
+    sub = emb.vectors[[emb.vocab.id_of(w) for w in words]]
     close_values = []
     far_values = []
     for qi, w in enumerate(words):
-        dist = np.linalg.norm(sub - sub[qi], axis=1)
-        ids = np.concatenate([np.arange(qi), np.arange(qi + 1, len(words))])
-        order = np.argsort(dist[ids], kind="stable")
-        ranked = ids[order]
+        ranked, _ = _ranked(sub, qi)
         for r in range(close_ranks[0] - 1, close_ranks[1]):
             close_values.append(pronunciation_overlap(w, words[int(ranked[r])], lexicon))
         for r in range(far_ranks[0] - 1, far_ranks[1]):
@@ -158,7 +157,7 @@ class BlankDistanceReport:
     counts: np.ndarray
 
 
-def blank_distance_report(emb, top=25, n_bins=20):
+def blank_distance_report(emb, top=BLANK_TOP, n_bins=20):
     """Word-to-word neighbor distances pooled, next to the blank's mean.
 
     For every word: distances to its `top` nearest words (the blank row is
@@ -169,19 +168,10 @@ def blank_distance_report(emb, top=25, n_bins=20):
     n_words = len(emb.vocab.labels)
     if n_words < top + 1:
         raise ValueError("need at least %d words, have %d" % (top + 1, n_words))
-    word_rows = emb.vectors[:n_words]
-    pooled = []
-    per_word = []
-    for i in range(n_words):
-        dist = np.linalg.norm(word_rows - word_rows[i], axis=1)
-        dist = np.delete(dist, i)
-        dist.sort()
-        pooled.append(dist[:top])
-        per_word.append(dist[:top].mean())
-    pooled = np.concatenate(pooled)
-    blank_dist = np.linalg.norm(word_rows - emb.vectors[n_words], axis=1)
-    blank_dist.sort()
-    blank_mean = float(blank_dist[:top].mean())
+    nearest = [_ranked(emb.vectors[:n_words], i)[1][:top] for i in range(n_words)]
+    pooled = np.concatenate(nearest)
+    per_word = [dist.mean() for dist in nearest]
+    blank_mean = float(_ranked(emb.vectors, n_words)[1][:top].mean())
     hi = max(float(pooled.max()), blank_mean)
     edges = np.linspace(0.0, hi if hi > 0 else 1.0, n_bins + 1)
     return BlankDistanceReport(

@@ -20,6 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (
+    BLANK_TOP,
+    FAR_RANKS,
     blank_distance_report,
     embedding_matrix,
     frequency_margin_table,
@@ -160,8 +162,10 @@ _ANALYZE = [
     Opt("lexicon", str, None, "lexicon.tsv for pronunciation overlap", required=True),
     Opt("out_dir", str, None, "output directory", required=True),
     Opt("transcripts", str, "", "training corpus.tsv for word counts"),
-    Opt("overlap", _bool, False, "only the pronunciation-overlap histograms", flag=True),
-    Opt("blank", _bool, False, "only the blank-distance report", flag=True),
+    Opt("overlap", _bool, False, "only the pronunciation-overlap histograms (needs %d or "
+        "more words with pronunciations)" % (FAR_RANKS[1] + 1), flag=True),
+    Opt("blank", _bool, False, "only the blank-distance report (needs %d or more words)"
+        % (BLANK_TOP + 1), flag=True),
     Opt("margin", _bool, False, "only the margin/frequency table", flag=True),
     Opt("seed", int, 0, "seed for the permutation test"),
 ]
@@ -308,6 +312,7 @@ def cmd_train(opts, out):
         train_utts = [train_utts[i] for i in keep]
     vocab = _vocab_for_mode(opts.mode, lexicon)
     input_dim = train_utts[0].features.shape[1]
+    _check_feature_dim(input_dim, data / "train", dev_utts, data / "dev")
     schedule = downsample_schedule(opts.downsample, opts.layers)
     model = Network.random(
         input_dim,
@@ -332,9 +337,17 @@ def cmd_train(opts, out):
     return EXIT_OK
 
 
+def _check_feature_dim(expected, source, utts, corpus):
+    dim = utts[0].features.shape[1]
+    if dim != expected:
+        raise ValueError("feature dimension %d in %s does not match %d in %s"
+                         % (dim, corpus, expected, source))
+
+
 def cmd_decode(opts, out):
     model = load_network(opts.model)
     utts = load_corpus(opts.data)
+    _check_feature_dim(model.input_dim, opts.model, utts, opts.data)
     lines = [
         "%s\t%s" % (u.utt_id, " ".join(model.vocab.decode(decode_utterance(model, u.features))))
         for u in utts

@@ -2,9 +2,10 @@
 
 The collapse function first merges runs of identical symbols and then drops
 blanks, in that order.  The loss marginalizes over every frame path that
-collapses to the target; it is computed with the forward recursion over the
-blank-interleaved state sequence, entirely in log space.  The blank always
-occupies the last column of a lattice.
+collapses to the target, entirely in log space.  One sweep over the
+blank-interleaved state sequence gives the forward variables; the same sweep
+over the time- and state-reversed lattice, read back reversed, gives the
+backward ones.  The blank always occupies the last column of a lattice.
 """
 
 from dataclasses import dataclass
@@ -164,46 +165,25 @@ def _expanded_states(y, blank):
     return sym, skip
 
 
-def _forward(lattice, sym, skip):
-    T = lattice.shape[0]
-    S = len(sym)
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = lattice[0, sym[0]]
-    if S > 1:
-        alpha[0, 1] = lattice[0, sym[1]]
-    move = np.empty(S)
+def _sweep(emit, skip):
+    """Log-mass of path prefixes entering each state, given emit[t, j], the
+    log-probability of state j's symbol at frame t.  Row 0 is 0 on the
+    first two states; row t combines row t-1 plus its emissions by staying,
+    advancing one state, or jumping two where `skip` allows."""
+    T, S = emit.shape
+    out = np.full((T, S), NEG_INF)
+    out[0, :2] = 0.0
+    move = np.full(S, NEG_INF)
     jump = np.full(S, NEG_INF)
     for t in range(1, T):
-        prev = alpha[t - 1]
-        move[0] = NEG_INF
+        prev = out[t - 1] + emit[t - 1]
         move[1:] = prev[:-1]
         a = np.logaddexp(prev, move)
         if S > 2:
             jump[2:] = np.where(skip[2:], prev[:-2], NEG_INF)
             a = np.logaddexp(a, jump)
-        alpha[t] = a + lattice[t, sym]
-    return alpha
-
-
-def _backward(lattice, sym, skip):
-    T = lattice.shape[0]
-    S = len(sym)
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    move = np.empty(S)
-    jump = np.full(S, NEG_INF)
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + lattice[t + 1, sym]
-        move[-1] = NEG_INF
-        move[:-1] = nxt[1:]
-        b = np.logaddexp(nxt, move)
-        if S > 2:
-            jump[:-2] = np.where(skip[2:], nxt[2:], NEG_INF)
-            b = np.logaddexp(b, jump)
-        beta[t] = b
-    return beta
+        out[t] = a
+    return out
 
 
 def _final_log_prob(alpha):
@@ -222,7 +202,8 @@ def ctc_log_likelihood(lattice, target):
     if lattice.shape[0] == 0:
         return 0.0 if not y else NEG_INF
     sym, skip = _expanded_states(y, blank)
-    return _final_log_prob(_forward(lattice, sym, skip))
+    emit = lattice[:, sym]
+    return _final_log_prob(_sweep(emit, skip) + emit)
 
 
 def ctc_loss_and_gradient(lattice, target):
@@ -239,17 +220,17 @@ def ctc_loss_and_gradient(lattice, target):
             raise InfeasibleTargetError("no alignment of length 0 for a nonempty target")
         return 0.0, np.zeros_like(lattice)
     sym, skip = _expanded_states(y, blank)
-    alpha = _forward(lattice, sym, skip)
+    emit = lattice[:, sym]
+    alpha = _sweep(emit, skip) + emit
     ll = _final_log_prob(alpha)
     if ll == NEG_INF:
         raise InfeasibleTargetError(
             "target of length %d has no alignment in %d frames" % (len(y), T)
         )
-    beta = _backward(lattice, sym, skip)
+    beta = _sweep(emit[::-1, ::-1], _expanded_states(y[::-1], blank)[1])[::-1, ::-1]
     gamma = np.exp(alpha + beta - ll)
     occupancy = np.zeros_like(lattice)
-    for j, s in enumerate(sym):
-        occupancy[:, s] += gamma[:, j]
+    np.add.at(occupancy, (slice(None), sym), gamma)
     return -ll, np.exp(lattice) - occupancy
 
 

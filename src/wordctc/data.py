@@ -184,7 +184,8 @@ def load_corpus(corpus_dir, known_words=None):
     """Read a corpus directory written by save_corpus; it must list at least
     one utterance.
 
-    When known_words is given, every transcript word must be in it.
+    Every feature file must have the same dimension.  When known_words is
+    given, every transcript word must be in it.
     Alignments (when present) must have one label per frame and collapse to
     the transcript.
     """
@@ -226,6 +227,11 @@ def load_corpus(corpus_dir, known_words=None):
                         "%s line %d: unknown word %r" % (manifest, lineno, w)
                     )
         features = load_features(root / rel)
+        if utterances and features.shape[1] != utterances[0].features.shape[1]:
+            raise ManifestError(
+                "%s: feature dimension %d does not match the corpus's %d"
+                % (root / rel, features.shape[1], utterances[0].features.shape[1])
+            )
         alignment = alignments.pop(utt_id, None)
         if alignment is not None:
             if len(alignment) != features.shape[0]:

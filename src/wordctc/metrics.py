@@ -1,5 +1,9 @@
 """Edit-distance scoring: WER/PER from Levenshtein alignments, FER from frame matches.
 
+One weighted Levenshtein pass over two rows gives the edit count and the
+insertions plus deletions in its last cell; with the length difference
+they fix the S/D/I split in closed form, so no backtrace is kept.
+
 Corpus-level rates pool the raw edit counts over utterances before dividing,
 which is not the same thing as averaging per-utterance rates.  Frame
 mismatches are EditStats too (all substitutions), so pool and error_rate
@@ -41,38 +45,23 @@ def edit_distance(ref, hyp):
     hyp = list(hyp)
     n, m = len(ref), len(hyp)
     # an indel costs one unit more than a substitution, and fewer than
-    # n + m + 1 indels fit, so the weighted minimum is the minimal edit
-    # count first and the fewest indels second
+    # n + m + 1 indels fit, so the weighted minimum W is edits * sub + indels
     sub = n + m + 1
     indel = sub + 1
-    d = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        d[i][0] = i * indel
-    for j in range(m + 1):
-        d[0][j] = j * indel
-    for i in range(1, n + 1):
-        row = d[i]
-        prev = d[i - 1]
-        r = ref[i - 1]
-        for j in range(1, m + 1):
-            cost = prev[j - 1] + sub * (r != hyp[j - 1])
-            ins = row[j - 1] + indel
-            dele = prev[j] + indel
-            row[j] = cost if cost <= ins and cost <= dele else (ins if ins <= dele else dele)
-    subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + sub * (ref[i - 1] != hyp[j - 1]):
-            subs += ref[i - 1] != hyp[j - 1]
-            i -= 1
-            j -= 1
-        elif j > 0 and d[i][j] == d[i][j - 1] + indel:
-            ins += 1
-            j -= 1
-        else:
-            dels += 1
-            i -= 1
-    return EditStats(subs, dels, ins, n)
+    prev = [j * indel for j in range(m + 1)]
+    for i, r in enumerate(ref, 1):
+        left = i * indel
+        row = [left]
+        for diag, up, h in zip(prev, prev[1:], hyp):
+            up = (left if left <= up else up) + indel
+            if r != h:
+                diag += sub
+            left = diag if diag <= up else up
+            row.append(left)
+        prev = row
+    edits, indels = divmod(prev[m], sub)
+    ins = (indels + m - n) // 2
+    return EditStats(edits - indels, indels - ins, ins, n)
 
 
 def error_rate(stats):

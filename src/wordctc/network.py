@@ -201,6 +201,8 @@ class Network:
         downsample = tuple(int(c) for c in downsample)
         if len(downsample) != len(layers) or any(c < 0 for c in downsample):
             raise ValueError("down-sampling counts must be one nonnegative int per layer")
+        if mode == "frame-classifier" and any(downsample):
+            raise ValueError("frame classification requires down-sampling factor 1")
         for lo, hi in zip(layers, layers[1:]):
             if hi.input_dim != lo.hidden_dim:
                 raise ValueError("layer dimensions do not chain")
@@ -226,11 +228,6 @@ class Network:
     @property
     def hidden_dims(self):
         return tuple(l.hidden_dim for l in self.layers)
-
-    @property
-    def rate_factor(self):
-        """Total frame-rate reduction, 2 ** (number of halvings)."""
-        return 1 << sum(self.downsample)
 
     def params(self):
         out = []

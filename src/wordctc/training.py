@@ -102,10 +102,8 @@ def frame_loss_and_gradient(net, lattice, frame_labels):
 
     Output position t is scored against the label of frame t - lookahead;
     the first `lookahead` positions are untrained and get zero gradient.
-    Frame classification requires the full frame rate (no down-sampling).
+    The network runs at the full frame rate; Network enforces that.
     """
-    if net.rate_factor != 1:
-        raise ValueError("frame classification requires down-sampling factor 1")
     T = lattice.shape[0]
     if len(frame_labels) != T:
         raise ValueError("%d frame labels for %d frames" % (len(frame_labels), T))
@@ -177,8 +175,6 @@ def evaluate(model, utterances):
 def _evaluate_prepared(model, prepared):
     compare = edit_distance
     if model.mode == "frame-classifier":
-        if model.rate_factor != 1:
-            raise ValueError("frame classification requires down-sampling factor 1")
         compare = frame_errors
     return error_rate(pool(
         compare(target, decode_utterance(model, features)) for _, features, target in prepared
@@ -215,8 +211,8 @@ def train(model, train_utterances, dev_utterances, cfg):
     Every epoch shuffles the utterance order deterministically from
     cfg.seed.  Infeasible utterances are skipped with a logged warning and
     counted in the epoch record; an epoch with no usable utterance raises
-    TrainingError, and so does a non-finite loss or gradient norm, before
-    the update it would corrupt.
+    TrainingError, and so do a non-finite loss or gradient norm, before the
+    update it would corrupt, and an update that overflows.
     """
     if not train_utterances or not dev_utterances:
         raise ValueError("train and dev sets must be nonempty")
@@ -246,22 +242,29 @@ def train(model, train_utterances, dev_utterances, cfg):
             clip_events = 0
             for i in rng.permutation(len(prepared)):
                 utt_id, features, target = prepared[i]
-                try:
-                    loss, d_logits, n, tape = _utterance_pass(model, features, target)
-                except (InfeasibleTargetError, SequenceTooShortError) as exc:
-                    skipped += 1
-                    log.warning("epoch %d: skipping %s: %s", epoch, utt_id, exc)
-                    continue
                 where = "epoch %d: utterance %s" % (epoch, utt_id)
-                if not math.isfinite(loss):
-                    raise TrainingError("%s: loss is %r" % (where, loss))
-                grads, _ = network_backward(model, tape, d_logits)
+                # a diverging step overflows on its way to the loss and norm
+                # checks, which name it; numpy's warnings would not
+                with np.errstate(all="ignore"):
+                    try:
+                        loss, d_logits, n, tape = _utterance_pass(model, features, target)
+                    except (InfeasibleTargetError, SequenceTooShortError) as exc:
+                        skipped += 1
+                        log.warning("epoch %d: skipping %s: %s", epoch, utt_id, exc)
+                        continue
+                    if not math.isfinite(loss):
+                        raise TrainingError("%s: loss is %r" % (where, loss))
+                    grads, _ = network_backward(model, tape, d_logits)
+                    try:
+                        clipped, factor = clip_global_norm(grads.arrays(), cfg.clip_norm)
+                    except FloatingPointError as exc:
+                        raise TrainingError("%s: %s" % (where, exc)) from None
                 try:
-                    clipped, factor = clip_global_norm(grads.arrays(), cfg.clip_norm)
+                    with np.errstate(over="raise", invalid="raise"):
+                        sgd_update(model, clipped, lr)
                 except FloatingPointError as exc:
-                    raise TrainingError("%s: %s" % (where, exc)) from None
+                    raise TrainingError("%s: update at step size %r: %s" % (where, lr, exc)) from None
                 clip_events += factor < 1.0
-                sgd_update(model, clipped, lr)
                 loss_sum += loss
                 n_labels += n
                 updates += 1

@@ -1,15 +1,17 @@
 import json
 import math
 import re
+import shlex
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wordctc.cli import main
 from wordctc.ctc import Vocabulary
-from wordctc.data import Utterance, load_features, save_corpus, save_features
+from wordctc.data import Utterance, load_features, load_lexicon, save_corpus, save_features
 from wordctc.network import Network, downsample_schedule, save_network
 from wordctc.training import evaluate, training_perplexity
 
@@ -132,6 +134,14 @@ class TestTrain:
                    "--hidden", "8", "--phase1-epochs", "1", "--phase2-epochs", "0",
                    "--seed", "2") == 0
 
+    def test_downsampled_frame_classifier_rejected_before_training(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("wordctc.cli.train", lambda *args: pytest.fail("training started"))
+        assert run("train", "--data", data_dir, "--out-dir", tmp_path / "frames",
+                   *TINY_TRAIN, "--mode", "frame-classifier", "--downsample", "4") == 4
+        assert "frame classification requires down-sampling factor 1" in capsys.readouterr().err
+
     def test_transfer_init(self, tmp_path, data_dir):
         phone = tmp_path / "phone"
         assert run("train", "--data", data_dir, "--out-dir", phone,
@@ -220,7 +230,7 @@ class TestDecodeAndScore:
                    "--fer") == 3
         assert lines[1].split("\t")[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["half", "no-labels"])
+    @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         if damage == "half":
@@ -228,7 +238,11 @@ class TestDecodeAndScore:
         else:
             (header_len,) = struct.unpack_from("<I", blob, 8)
             header = json.loads(blob[12 : 12 + header_len])
-            del header["labels"]
+            if damage == "no-labels":
+                del header["labels"]
+            else:
+                # the model halves its frame rate, which a frame classifier cannot
+                header["mode"] = "frame-classifier"
             text = json.dumps(header).encode()
             blob = blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :]
         broken = tmp_path / "broken.net"
@@ -236,6 +250,17 @@ class TestDecodeAndScore:
         assert run("decode", "--model", broken, "--data", data_dir / "dev",
                    "--out-dir", tmp_path / "d") == 3
         assert str(broken) in capsys.readouterr().err
+
+    def test_checkpoint_feature_dimension_mismatch(self, tmp_path, data_dir, model_dir, capsys):
+        narrow = tmp_path / "narrow"
+        shutil.copytree(data_dir / "dev", narrow)
+        for feat in (narrow / "feats").glob("*.feat"):
+            save_features(feat, load_features(feat)[:, :3])
+        assert run("decode", "--model", model_dir / "model.net",
+                   "--data", narrow, "--out-dir", tmp_path / "d") == 4
+        err = capsys.readouterr().err
+        assert str(model_dir / "model.net") in err and str(narrow) in err
+        assert re.search("dimension 3 .* 4", err), err
 
     def test_corrupt_feature_file(self, tmp_path, data_dir, model_dir):
         broken = tmp_path / "broken"
@@ -260,13 +285,34 @@ def _empty_train(data):
     return [], [re.escape(str(data / "train" / "corpus.tsv"))]
 
 
+def _narrow_frame(data):
+    feats = sorted((data / "train" / "feats").glob("*.feat"))
+    save_features(feats[1], load_features(feats[1])[:, :3])
+    return [], [re.escape(str(feats[1])), "dimension 3 .* 4"]
+
+
+def _narrow_dev(data):
+    for feat in (data / "dev" / "feats").glob("*.feat"):
+        save_features(feat, load_features(feat)[:, :3])
+    return [], [re.escape(str(data / "dev")), re.escape(str(data / "train")), "dimension 3 .* 4"]
+
+
 def _diverge(data):
     return ["--phase1-lr", "1e300", "--clip-norm", "1e300"], [r"epoch 1: utterance train-\d+"]
 
 
+def _overflow_update(data):
+    # the step overflows a parameter; the next forward would meet infinite logits
+    return ["--phase1-lr", "1e308"], [r"epoch 1: utterance train-\d+: update at step size"]
+
+
 class TestTrainFailureModes:
-    @pytest.mark.parametrize("damage, code", [(_nan_frame, 3), (_empty_train, 3), (_diverge, 5)])
-    def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, damage, code):
+    @pytest.mark.parametrize("damage, code", [
+        (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_narrow_dev, 4),
+        (_diverge, 5), (_overflow_update, 5),
+    ])
+    def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, recwarn,
+                                              damage, code):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         extra, patterns = damage(data)
@@ -276,6 +322,10 @@ class TestTrainFailureModes:
         for pattern in patterns:
             assert re.search(pattern, err), (pattern, err)
         assert not list(out.iterdir())
+        if code == 5:
+            # the one message line, and no numpy warning ahead of it
+            assert err.count("\n") == 1, err
+            assert not [str(w.message) for w in recwarn]
 
 
 class TestTooShort:
@@ -307,6 +357,25 @@ class TestAnalyze:
         assert len(table) == 9
         summary = (out / "summary.tsv").read_text()
         assert "frequency_margin_spearman" in summary
+
+    def test_readme_analyze_line_on_default_vocabulary(self, tmp_path, monkeypatch):
+        # the toy experiment's last step, on a checkpoint over the default 50 words
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme.split("### A full toy experiment")[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("wordctc analyze"))
+        command = lines[start]
+        while command.endswith("\\"):
+            start += 1
+            command = command[:-1] + lines[start]
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--out-dir", "data", "--n-train", "20", "--n-dev", "2",
+                   "--n-test", "2") == 0
+        vocab = Vocabulary(tuple(sorted(load_lexicon("data/lexicon.tsv").words)))
+        assert len(vocab.labels) == 50
+        Path("run").mkdir()
+        save_network(Network.random(8, [6], vocab, "word-ctc", seed=0), "run/model.net")
+        assert run(*shlex.split(command)[1:]) == 0
+        assert (tmp_path / "ana" / "blank_histogram.tsv").exists()
 
     def test_overlap_needs_enough_words(self, tmp_path, data_dir, model_dir):
         out = tmp_path / "ana2"

@@ -256,15 +256,18 @@ class TestGradient:
         assert nll == pytest.approx(-ctc_log_likelihood(lattice, (0, 1)), abs=0)
 
     def test_forward_backward_consistent_at_every_frame(self):
-        # total path mass through frame t is the same for all t
-        from wordctc.ctc import _backward, _expanded_states, _forward
+        # total path mass through frame t is the same for all t; alpha and
+        # beta both come from the one sweep, beta over the reversed lattice
+        from wordctc.ctc import _expanded_states, _sweep
 
         rng = np.random.default_rng(8)
         lattice = random_lattice(rng, 6, 3)
-        y = (2, 0, 0)
-        sym, skip = _expanded_states(np.asarray(y), lattice.shape[1] - 1)
-        alpha = _forward(lattice, sym, skip)
-        beta = _backward(lattice, sym, skip)
+        y = np.array([2, 0, 0])
+        blank = lattice.shape[1] - 1
+        sym, skip = _expanded_states(y, blank)
+        emit = lattice[:, sym]
+        alpha = _sweep(emit, skip) + emit
+        beta = _sweep(emit[::-1, ::-1], _expanded_states(y[::-1], blank)[1])[::-1, ::-1]
         ll = ctc_log_likelihood(lattice, y)
         for t in range(6):
             assert logsumexp(alpha[t] + beta[t]) == pytest.approx(ll, abs=1e-10)

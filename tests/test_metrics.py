@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -43,6 +44,22 @@ def exhaustive_min_edits(ref, hyp):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def exhaustive_split(ref, hyp):
+    """Lexicographically least (edits, insertions + deletions, S, D, I) over
+    all alignments, by plain recursion; only usable for tiny sequences."""
+    if not ref or not hyp:
+        return (len(ref) + len(hyp), len(ref) + len(hyp), 0, len(ref), len(hyp))
+    wrong = ref[0] != hyp[0]
+    e, n, s, d, i = exhaustive_split(ref[1:], hyp[1:])
+    candidates = [(e + wrong, n, s + wrong, d, i)]
+    e, n, s, d, i = exhaustive_split(ref[1:], hyp)
+    candidates.append((e + 1, n + 1, s, d + 1, i))
+    e, n, s, d, i = exhaustive_split(ref, hyp[1:])
+    candidates.append((e + 1, n + 1, s, d, i + 1))
+    return min(candidates)
+
+
 class TestEditDistance:
     def test_single_deletion(self):
         st_ = edit_distance("abc", "ac")
@@ -81,6 +98,15 @@ class TestEditDistance:
         for ref in seqs:
             for hyp in seqs:
                 assert edit_distance(ref, hyp).total == exhaustive_min_edits(ref, hyp)
+
+    def test_split_matches_exhaustive_tie_rule(self):
+        # among minimal alignments the fewest insertions plus deletions win
+        seqs = ["".join(p) for n in range(5) for p in itertools.product("abc", repeat=n)]
+        for ref in seqs:
+            for hyp in seqs:
+                st_ = edit_distance(ref, hyp)
+                split = (st_.substitutions, st_.deletions, st_.insertions)
+                assert split == exhaustive_split(ref, hyp)[2:], (ref, hyp)
 
     @given(SEQS, SEQS)
     @example(list("aacb"), list("cbc"))  # a greedy backtrace splits these asymmetrically
