@@ -55,6 +55,7 @@ from .data import (
     save_features,
     save_lexicon,
     save_synth_corpus,
+    save_transcripts,
     train_dev_split,
 )
 from .metrics import EditStats, edit_distance, error_rate, frame_error_rate, frame_errors, pool

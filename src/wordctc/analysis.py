@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as scipy_stats
 
+CLOSE_RANKS = (1, 3)  # overlap_histograms' close neighbor band
 FAR_RANKS = (48, 50)  # overlap_histograms' far neighbor band
 BLANK_TOP = 25  # blank_distance_report's nearest-neighbor count
+N_BINS = 20  # histogram bins of both reports
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,15 @@ class OverlapHistograms:
         return float(self.far_values.mean())
 
 
-def overlap_histograms(emb, lexicon, close_ranks=(1, 3), far_ranks=FAR_RANKS, n_bins=20):
+def overlap_histograms(emb, lexicon):
     """Pronunciation overlap of every word against its close and far neighbors.
 
     Only rows with a pronunciation participate (the blank row never does),
     both as queries and as neighbor candidates.  Ranks are 1-based and
-    inclusive; the defaults compare neighbors 1-3 against neighbors 48-50.
+    inclusive: neighbors CLOSE_RANKS (1-3) against neighbors FAR_RANKS (48-50).
     """
     words = [w for w in emb.vocab.labels if w in lexicon]
-    needed = far_ranks[1] + 1
+    needed = FAR_RANKS[1] + 1
     if len(words) < needed:
         raise ValueError("need at least %d words with pronunciations, have %d" % (needed, len(words)))
     sub = emb.vectors[[emb.vocab.id_of(w) for w in words]]
@@ -116,11 +118,11 @@ def overlap_histograms(emb, lexicon, close_ranks=(1, 3), far_ranks=FAR_RANKS, n_
     far_values = []
     for qi, w in enumerate(words):
         ranked, _ = _ranked(sub, qi)
-        for r in range(close_ranks[0] - 1, close_ranks[1]):
+        for r in range(CLOSE_RANKS[0] - 1, CLOSE_RANKS[1]):
             close_values.append(pronunciation_overlap(w, words[int(ranked[r])], lexicon))
-        for r in range(far_ranks[0] - 1, far_ranks[1]):
+        for r in range(FAR_RANKS[0] - 1, FAR_RANKS[1]):
             far_values.append(pronunciation_overlap(w, words[int(ranked[r])], lexicon))
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, N_BINS + 1)
     close_values = np.asarray(close_values)
     far_values = np.asarray(far_values)
     return OverlapHistograms(
@@ -157,23 +159,23 @@ class BlankDistanceReport:
     counts: np.ndarray
 
 
-def blank_distance_report(emb, top=BLANK_TOP, n_bins=20):
+def blank_distance_report(emb):
     """Word-to-word neighbor distances pooled, next to the blank's mean.
 
-    For every word: distances to its `top` nearest words (the blank row is
-    not a candidate).  The blank's mean distance to its own `top` nearest
-    words is reported against the pooled histogram; per-word mean distances
-    are included as well.
+    For every word: distances to its BLANK_TOP nearest words (the blank row
+    is not a candidate).  The blank's mean distance to its own BLANK_TOP
+    nearest words is reported against the pooled histogram; per-word mean
+    distances are included as well.
     """
     n_words = len(emb.vocab.labels)
-    if n_words < top + 1:
-        raise ValueError("need at least %d words, have %d" % (top + 1, n_words))
-    nearest = [_ranked(emb.vectors[:n_words], i)[1][:top] for i in range(n_words)]
+    if n_words < BLANK_TOP + 1:
+        raise ValueError("need at least %d words, have %d" % (BLANK_TOP + 1, n_words))
+    nearest = [_ranked(emb.vectors[:n_words], i)[1][:BLANK_TOP] for i in range(n_words)]
     pooled = np.concatenate(nearest)
     per_word = [dist.mean() for dist in nearest]
-    blank_mean = float(_ranked(emb.vectors, n_words)[1][:top].mean())
+    blank_mean = float(_ranked(emb.vectors, n_words)[1][:BLANK_TOP].mean())
     hi = max(float(pooled.max()), blank_mean)
-    edges = np.linspace(0.0, hi if hi > 0 else 1.0, n_bins + 1)
+    edges = np.linspace(0.0, hi if hi > 0 else 1.0, N_BINS + 1)
     return BlankDistanceReport(
         pooled,
         np.asarray(per_word),

@@ -12,6 +12,7 @@ values, 5 training could not proceed, 1 unexpected error.
 
 import argparse
 import dataclasses
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,7 @@ from .data import (
     load_lexicon,
     load_transcripts,
     save_synth_corpus,
+    save_transcripts,
 )
 from .metrics import edit_distance, error_rate, fer_report, frame_errors, pool, score_report
 from .network import (
@@ -251,12 +253,7 @@ class _Outputs:
     def cleanup(self):
         for path in self.written:
             if path.is_dir():
-                for child in sorted(path.rglob("*"), reverse=True):
-                    if child.is_file():
-                        child.unlink()
-                    else:
-                        child.rmdir()
-                path.rmdir()
+                shutil.rmtree(path)
             elif path.exists():
                 path.unlink()
 
@@ -324,6 +321,7 @@ def cmd_train(opts, out):
     )
     if opts.init_from:
         source = load_network(opts.init_from)
+        _check_feature_dim(source.input_dim, opts.init_from, train_utts, data / "train")
         model = transfer_bottom_layers(source, model, opts.init_layers)
     # the CLI's --seed is not TrainConfig.seed: the shuffle stream is one of its three spawns
     cfg = _config(TrainConfig, opts, seed=shuffle_seed)
@@ -348,11 +346,8 @@ def cmd_decode(opts, out):
     model = load_network(opts.model)
     utts = load_corpus(opts.data)
     _check_feature_dim(model.input_dim, opts.model, utts, opts.data)
-    lines = [
-        "%s\t%s" % (u.utt_id, " ".join(model.vocab.decode(decode_utterance(model, u.features))))
-        for u in utts
-    ]
-    out.write_text("hypotheses.tsv", "\n".join(lines) + "\n")
+    hyps = {u.utt_id: model.vocab.decode(decode_utterance(model, u.features)) for u in utts}
+    save_transcripts(hyps, out.claim("hypotheses.tsv"))
     print("decoded %d utterances" % len(utts))
     return EXIT_OK
 

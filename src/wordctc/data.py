@@ -10,6 +10,11 @@ File formats (all integers little-endian, all text UTF-8, tab-separated):
   align.tsv    one utterance per line: id, space-separated per-frame word
                labels (SIL marks silence).
 
+Blank lines in these files (and in id<TAB>text transcript files) are
+skipped; a wrong field count or a repeated id is a ManifestError naming the
+file and line.  A word listed twice in a lexicon keeps its first
+pronunciation.
+
 The generator builds every utterance from per-phoneme prototype vectors,
 each repeated for a duration drawn from a truncated normal, plus Gaussian
 noise.  All randomness comes from a single numpy PCG64 stream
@@ -138,25 +143,59 @@ def load_features(path):
 
 
 # ---------------------------------------------------------------------------
-# lexicon and corpus files
+# tab-separated record files
+
+
+def _records(path, counts):
+    """(line number, fields) for each nonblank line of a tab-separated file.
+
+    A line whose field count is not in `counts` is a ManifestError.
+    """
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        if not raw.strip():
+            continue
+        fields = raw.split("\t")
+        if len(fields) not in counts:
+            raise ManifestError("%s line %d: expected %s tab-separated fields, found %d"
+                                % (path, lineno, " or ".join(map(str, counts)), len(fields)))
+        yield lineno, fields
+
+
+def _keyed_records(path, counts):
+    """_records of a file keyed by its first field, which must not repeat."""
+    seen = set()
+    for lineno, fields in _records(path, counts):
+        if fields[0] in seen:
+            raise ManifestError("%s line %d: duplicate id %r" % (path, lineno, fields[0]))
+        seen.add(fields[0])
+        yield lineno, fields
+
+
+def load_transcripts(path):
+    """id -> transcript from a corpus.tsv (3 columns) or an id<TAB>text file.
+
+    Preserves file order; the text column may be empty.
+    """
+    return {fields[0]: tuple(fields[-1].split()) for _, fields in _keyed_records(path, (2, 3))}
+
+
+def save_transcripts(transcripts, path):
+    """Write id -> token sequence as id<TAB>space-separated tokens lines,
+    in the mapping's order."""
+    lines = ["%s\t%s" % (key, " ".join(tokens)) for key, tokens in transcripts.items()]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_lexicon(lexicon, path):
-    lines = ["%s\t%s" % (w, " ".join(p)) for w, p in lexicon.entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_transcripts(lexicon.entries, path)
 
 
 def load_lexicon(path):
     """Read a lexicon; a word listed more than once keeps its first
     (canonical) pronunciation."""
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise ManifestError("%s line %d: expected word<TAB>phonemes" % (path, lineno))
-        word, pron = parts[0], tuple(parts[1].split())
+    for lineno, (word, phonemes) in _records(path, (2,)):
+        pron = tuple(phonemes.split())
         if not pron:
             raise ManifestError("%s line %d: empty pronunciation for %r" % (path, lineno, word))
         entries.setdefault(word, pron)
@@ -168,16 +207,14 @@ def save_corpus(utterances, out_dir):
     out = Path(out_dir)
     (out / "feats").mkdir(parents=True, exist_ok=True)
     manifest = []
-    aligned = []
     for u in utterances:
         rel = "feats/%s.feat" % u.utt_id
         save_features(out / rel, u.features)
         manifest.append("%s\t%s\t%s" % (u.utt_id, rel, " ".join(u.transcript)))
-        if u.alignment is not None:
-            aligned.append("%s\t%s" % (u.utt_id, " ".join(u.alignment)))
     (out / "corpus.tsv").write_text("\n".join(manifest) + "\n")
+    aligned = {u.utt_id: u.alignment for u in utterances if u.alignment is not None}
     if aligned:
-        (out / "align.tsv").write_text("\n".join(aligned) + "\n")
+        save_transcripts(aligned, out / "align.tsv")
 
 
 def load_corpus(corpus_dir, known_words=None):
@@ -193,32 +230,13 @@ def load_corpus(corpus_dir, known_words=None):
     manifest = root / "corpus.tsv"
     if not manifest.exists():
         raise ManifestError("%s: no corpus.tsv" % root)
-    alignments = {}
     align_path = root / "align.tsv"
+    alignments = {}  # id -> (line number, labels)
     if align_path.exists():
-        for lineno, raw in enumerate(align_path.read_text().splitlines(), 1):
-            if not raw.strip():
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 2:
-                raise ManifestError("%s line %d: expected id<TAB>labels" % (align_path, lineno))
-            if parts[0] in alignments:
-                raise ManifestError("%s line %d: duplicate id %r" % (align_path, lineno, parts[0]))
-            alignments[parts[0]] = tuple(parts[1].split())
+        alignments = {utt_id: (lineno, tuple(labels.split()))
+                      for lineno, (utt_id, labels) in _keyed_records(align_path, (2,))}
     utterances = []
-    seen = set()
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), 1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise ManifestError(
-                "%s line %d: expected id<TAB>path<TAB>transcript" % (manifest, lineno)
-            )
-        utt_id, rel, text = parts
-        if utt_id in seen:
-            raise ManifestError("%s line %d: duplicate id %r" % (manifest, lineno, utt_id))
-        seen.add(utt_id)
+    for lineno, (utt_id, rel, text) in _keyed_records(manifest, (3,)):
         transcript = tuple(text.split())
         if known_words is not None:
             for w in transcript:
@@ -232,48 +250,27 @@ def load_corpus(corpus_dir, known_words=None):
                 "%s: feature dimension %d does not match the corpus's %d"
                 % (root / rel, features.shape[1], utterances[0].features.shape[1])
             )
-        alignment = alignments.pop(utt_id, None)
+        align_line, alignment = alignments.pop(utt_id, (None, None))
         if alignment is not None:
             if len(alignment) != features.shape[0]:
                 raise ManifestError(
-                    "%s: alignment for %r has %d labels for %d frames"
-                    % (align_path, utt_id, len(alignment), features.shape[0])
+                    "%s line %d: alignment for %r has %d labels for %d frames"
+                    % (align_path, align_line, utt_id, len(alignment), features.shape[0])
                 )
             if collapse(alignment, SIL) != transcript:
                 raise ManifestError(
-                    "%s: alignment for %r does not collapse to its transcript"
-                    % (align_path, utt_id)
+                    "%s line %d: alignment for %r does not collapse to its transcript"
+                    % (align_path, align_line, utt_id)
                 )
         utterances.append(Utterance(utt_id, features, transcript, alignment))
     if not utterances:
         raise ManifestError("%s: lists no utterance" % manifest)
     if alignments:
+        utt_id, (align_line, _) = next(iter(alignments.items()))
         raise ManifestError(
-            "%s: alignment for unknown utterance %r" % (align_path, sorted(alignments)[0])
+            "%s line %d: alignment for unknown utterance %r" % (align_path, align_line, utt_id)
         )
     return utterances
-
-
-def load_transcripts(path):
-    """id -> transcript from a corpus.tsv (3 columns) or an id<TAB>text file.
-
-    Preserves file order; the text column may be empty.
-    """
-    out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) == 3:
-            utt_id, text = parts[0], parts[2]
-        elif len(parts) == 2:
-            utt_id, text = parts
-        else:
-            raise ManifestError("%s line %d: expected 2 or 3 tab-separated fields" % (path, lineno))
-        if utt_id in out:
-            raise ManifestError("%s line %d: duplicate id %r" % (path, lineno, utt_id))
-        out[utt_id] = tuple(text.split())
-    return out
 
 
 def train_dev_split(utterances, fraction, seed):

@@ -209,7 +209,7 @@ class TestBlankDistanceReport:
     def test_pool_size(self):
         rng = np.random.default_rng(9)
         emb = make_embedding(rng.normal(size=(40, 4)))
-        rep = blank_distance_report(emb, top=25)
+        rep = blank_distance_report(emb)
         assert rep.pooled_distances.size == 39 * 25
         assert rep.per_word_means.size == 39
 

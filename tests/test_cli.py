@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordctc.cli import main
+from wordctc.cli import _Outputs, main
 from wordctc.ctc import Vocabulary
 from wordctc.data import Utterance, load_features, load_lexicon, save_corpus, save_features
 from wordctc.network import Network, downsample_schedule, save_network
@@ -297,6 +297,14 @@ def _narrow_dev(data):
     return [], [re.escape(str(data / "dev")), re.escape(str(data / "train")), "dimension 3 .* 4"]
 
 
+def _wide_checkpoint(data):
+    # a transfer source built for 5-dimensional features, against this 4-dimensional corpus
+    source = data / "wide.net"
+    save_network(Network.random(5, [10], Vocabulary(("a", "b")), "phoneme-ctc", seed=0), source)
+    return (["--init-from", source, "--init-layers", "1"],
+            [re.escape(str(source)), re.escape(str(data / "train")), "dimension 4 .* 5"])
+
+
 def _diverge(data):
     return ["--phase1-lr", "1e300", "--clip-norm", "1e300"], [r"epoch 1: utterance train-\d+"]
 
@@ -309,7 +317,7 @@ def _overflow_update(data):
 class TestTrainFailureModes:
     @pytest.mark.parametrize("damage, code", [
         (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_narrow_dev, 4),
-        (_diverge, 5), (_overflow_update, 5),
+        (_wide_checkpoint, 4), (_diverge, 5), (_overflow_update, 5),
     ])
     def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, recwarn,
                                               damage, code):
@@ -326,6 +334,17 @@ class TestTrainFailureModes:
             # the one message line, and no numpy warning ahead of it
             assert err.count("\n") == 1, err
             assert not [str(w.message) for w in recwarn]
+
+
+def test_cleanup_removes_claimed_directory(tmp_path):
+    out = _Outputs(tmp_path / "out")
+    split = out.claim("train")
+    (split / "feats").mkdir(parents=True)
+    (split / "feats" / "u0.feat").write_bytes(b"FEAT")
+    (split / "corpus.tsv").write_text("u0\tfeats/u0.feat\tw0\n")
+    out.write_text("synth.config", "seed = 0\n")
+    out.cleanup()
+    assert not list(out.root.iterdir())
 
 
 class TestTooShort:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from wordctc.data import (
     save_features,
     save_lexicon,
     save_synth_corpus,
+    save_transcripts,
     train_dev_split,
 )
 
@@ -123,9 +126,46 @@ class TestCorpusIO:
         (tmp_path / "hyp.tsv").write_text("u1\ta b\nu2\t\n")
         out = load_transcripts(tmp_path / "hyp.tsv")
         assert out == {"u1": ("a", "b"), "u2": ()}
+        save_transcripts(out, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_text() == "u1\ta b\nu2\t\n"
         (tmp_path / "bad.tsv").write_text("u1\ta\tb\tc\td\n")
         with pytest.raises(ManifestError):
             load_transcripts(tmp_path / "bad.tsv")
+
+
+def _three_utterances(root):
+    """A corpus of u0-u2, one word each with per-frame labels, and a
+    transcripts file hyp.tsv of the same ids."""
+    utts = [Utterance("u%d" % i, np.zeros((2, 2), dtype=np.float32), ("w%d" % i,),
+                      ("w%d" % i,) * 2) for i in range(3)]
+    save_corpus(utts, root)
+    save_transcripts({u.utt_id: u.transcript for u in utts}, root / "hyp.tsv")
+
+
+@pytest.mark.parametrize("name, edits, line", [
+    ("corpus.tsv", {2: "u1\tfeats/u1.feat"}, 2),
+    ("corpus.tsv", {3: "u0\tfeats/u0.feat\tw0"}, 3),
+    ("align.tsv", {2: "u1"}, 2),
+    ("align.tsv", {3: "u0\tw0 w0"}, 3),
+    ("align.tsv", {4: "ghost\tw0 w0"}, 4),
+    ("hyp.tsv", {2: "u1\tfeats/u1.feat\tw1\textra"}, 2),
+    ("hyp.tsv", {3: "u0\tw0"}, 3),
+    # two faults in one file: the first in file order is the one reported
+    ("corpus.tsv", {2: "u0\tfeats/u0.feat\tw0", 3: "u2"}, 2),
+    ("hyp.tsv", {2: "u1", 3: "u0\tw0"}, 2),
+], ids=["corpus-count", "corpus-duplicate", "align-count", "align-duplicate",
+        "align-unknown-utterance", "transcripts-count", "transcripts-duplicate",
+        "corpus-first-of-two", "transcripts-first-of-two"])
+def test_malformed_record_names_file_and_line(tmp_path, name, edits, line):
+    _three_utterances(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    for lineno, text in edits.items():
+        lines[lineno - 1:lineno] = [text]
+    path.write_text("\n".join(lines) + "\n")
+    load, arg = (load_transcripts, path) if name == "hyp.tsv" else (load_corpus, tmp_path)
+    with pytest.raises(ManifestError, match="%s line %d:" % (re.escape(str(path)), line)):
+        load(arg)
 
 
 class TestSplit:
