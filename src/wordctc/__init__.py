@@ -27,7 +27,6 @@ from .ctc import (
     InfeasibleTargetError,
     Vocabulary,
     collapse,
-    ctc_gradient,
     ctc_log_likelihood,
     ctc_loss_and_gradient,
     enumerate_preimage,
@@ -56,9 +55,9 @@ from .data import (
     save_lexicon,
     save_synth_corpus,
     save_transcripts,
-    train_dev_split,
+    subset,
 )
-from .metrics import EditStats, edit_distance, error_rate, frame_error_rate, frame_errors, pool
+from .metrics import EditStats, edit_distance, error_rate, frame_errors, pool
 from .network import (
     LSTMLayer,
     Network,
@@ -76,7 +75,7 @@ from .network import (
     sgd_update,
     transfer_bottom_layers,
 )
-from .numerics import clip_global_norm, global_norm, log_softmax, logsumexp
+from .numerics import clip_global_norm, global_norm, log_softmax
 from .training import (
     EpochRecord,
     TrainConfig,

@@ -41,8 +41,10 @@ from .data import (
     load_corpus,
     load_lexicon,
     load_transcripts,
+    read_lines,
     save_synth_corpus,
     save_transcripts,
+    subset,
 )
 from .metrics import edit_distance, error_rate, fer_report, frame_errors, pool, score_report
 from .network import (
@@ -201,7 +203,7 @@ def _build_parser():
 
 def _parse_config_file(path):
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -259,10 +261,8 @@ class _Outputs:
 
 
 def _format_config(schema, opts):
-    lines = []
-    for opt in sorted(schema, key=lambda o: o.name):
-        lines.append("%s = %s" % (opt.name, getattr(opts, opt.name)))
-    return "\n".join(lines) + "\n"
+    names = sorted(opt.name for opt in schema)
+    return "".join("%s = %s\n" % (name, getattr(opts, name)) for name in names)
 
 
 def cmd_synth(opts, out):
@@ -299,14 +299,8 @@ def cmd_train(opts, out):
     if opts.mode == "phoneme-ctc":
         train_utts = convert_transcripts_to_phonemes(train_utts, lexicon)
         dev_utts = convert_transcripts_to_phonemes(dev_utts, lexicon)
-    if not 0 < opts.data_fraction <= 1:
-        raise ValueError("data fraction must be in (0, 1]")
     init_seed, shuffle_seed, subset_seed = np.random.SeedSequence(opts.seed).spawn(3)
-    if opts.data_fraction < 1:
-        k = max(1, round(opts.data_fraction * len(train_utts)))
-        order = np.random.default_rng(subset_seed).permutation(len(train_utts))
-        keep = sorted(int(i) for i in order[:k])
-        train_utts = [train_utts[i] for i in keep]
+    train_utts = subset(train_utts, opts.data_fraction, subset_seed)
     vocab = _vocab_for_mode(opts.mode, lexicon)
     input_dim = train_utts[0].features.shape[1]
     _check_feature_dim(input_dim, data / "train", dev_utts, data / "dev")
@@ -359,7 +353,9 @@ def cmd_score(opts, out):
     if missing:
         raise ManifestError("%s: no reference for %r" % (opts.hyp, missing[0]))
     # every reference is scored: one without a hypothesis against the empty one
-    compare = frame_errors if opts.fer else edit_distance
+    compare, report, rate, unit = (
+        (frame_errors, fer_report, "FER", "frames") if opts.fer
+        else (edit_distance, score_report, "WER", "reference words"))
     stats = []
     for utt_id in dict.fromkeys([*hyps, *refs]):
         ref, hyp = refs[utt_id], hyps.get(utt_id, ())
@@ -369,13 +365,10 @@ def cmd_score(opts, out):
             )
         stats.append((utt_id, compare(ref, hyp)))
     pooled = pool(st for _, st in stats)
-    if opts.fer:
-        out.write_text("report.tsv", fer_report(stats))
-        print("FER%% %.4f over %d frames" % (error_rate(pooled) if pooled.ref_len else 0.0,
-                                            pooled.ref_len))
-    else:
-        out.write_text("report.tsv", score_report(stats))
-        print("WER%% %.4f over %d reference words" % (error_rate(pooled), pooled.ref_len))
+    if not pooled.ref_len:
+        raise ManifestError("%s: no %s to score against" % (opts.ref, unit))
+    out.write_text("report.tsv", report(stats))
+    print("%s%% %.4f over %d %s" % (rate, error_rate(pooled), pooled.ref_len, unit))
     return EXIT_OK
 
 

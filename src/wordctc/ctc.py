@@ -234,11 +234,6 @@ def ctc_loss_and_gradient(lattice, target):
     return -ll, np.exp(lattice) - occupancy
 
 
-def ctc_gradient(lattice, target):
-    """Gradient of -log p(target | lattice) w.r.t. the pre-softmax logits."""
-    return ctc_loss_and_gradient(lattice, target)[1]
-
-
 def greedy_decode(lattice):
     """Best-path decoding: frame-wise argmax, then collapse.
 

@@ -11,9 +11,10 @@ File formats (all integers little-endian, all text UTF-8, tab-separated):
                labels (SIL marks silence).
 
 Blank lines in these files (and in id<TAB>text transcript files) are
-skipped; a wrong field count or a repeated id is a ManifestError naming the
-file and line.  A word listed twice in a lexicon keeps its first
-pronunciation.
+skipped; a byte that is not UTF-8, a wrong field count or a repeated id is a
+ManifestError naming the file and line.  A word listed twice in a lexicon
+keeps its first pronunciation.  `subset` draws the seeded share of a split
+that `train --data-fraction` trains on.
 
 The generator builds every utterance from per-phoneme prototype vectors,
 each repeated for a duration drawn from a truncated normal, plus Gaussian
@@ -25,7 +26,6 @@ bit-identical corpora on any platform.
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +146,26 @@ def load_features(path):
 # tab-separated record files
 
 
+def read_lines(path):
+    """(line number, text) for each line of a UTF-8 file; a byte that does
+    not decode is a ManifestError naming the file and its line."""
+    # surrogateescape turns each byte b that does not decode into U+DC00 + b
+    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ManifestError("%s line %d: byte 0x%02x is not UTF-8"
+                                % (path, lineno, ord(line[exc.start]) - 0xDC00)) from None
+        yield lineno, line
+
+
 def _records(path, counts):
     """(line number, fields) for each nonblank line of a tab-separated file.
 
     A line whose field count is not in `counts` is a ManifestError.
     """
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in read_lines(path):
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -273,24 +287,16 @@ def load_corpus(corpus_dir, known_words=None):
     return utterances
 
 
-def train_dev_split(utterances, fraction, seed):
-    """Seeded partition into (train, dev); dev gets floor((1 - fraction) * n).
+def subset(utterances, fraction, seed):
+    """The seeded max(1, round(fraction * n)) of n utterances, in corpus order.
 
-    The fraction is interpreted exactly (via its decimal literal), so e.g.
-    0.9 of 10 utterances is a 9/1 split.  Both sides keep the original
-    relative order.
+    fraction must lie in (0, 1]; at 1 every utterance is kept.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be strictly between 0 and 1")
-    n = len(utterances)
-    n_dev = int((1 - Fraction(str(fraction))) * n)
-    if n_dev == 0 or n_dev == n:
-        raise ValueError("split of %d utterances at %r leaves an empty side" % (n, fraction))
-    order = np.random.default_rng(seed).permutation(n)
-    dev_idx = set(int(i) for i in order[:n_dev])
-    train = [u for i, u in enumerate(utterances) if i not in dev_idx]
-    dev = [u for i, u in enumerate(utterances) if i in dev_idx]
-    return train, dev
+    if not 0 < fraction <= 1:
+        raise ValueError("data fraction must be in (0, 1]")
+    k = max(1, round(fraction * len(utterances)))
+    order = np.random.default_rng(seed).permutation(len(utterances))
+    return [utterances[i] for i in np.sort(order[:k])]
 
 
 # ---------------------------------------------------------------------------

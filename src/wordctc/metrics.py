@@ -84,11 +84,6 @@ def frame_errors(ref_frames, hyp_frames):
     return EditStats(wrong, 0, 0, len(ref_frames))
 
 
-def frame_error_rate(ref_frames, hyp_frames):
-    """Percentage of frames whose labels disagree; lengths must match."""
-    return error_rate(frame_errors(ref_frames, hyp_frames))
-
-
 def pool(stats_iter):
     """Sum edit counts over utterances for a corpus-level rate."""
     total = EditStats(0, 0, 0, 0)

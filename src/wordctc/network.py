@@ -192,7 +192,7 @@ def lstm_backward(layer, tape, d_hidden):
 class Network:
     """LSTM stack with a softmax head.  downsample[i] halvings run before layer i."""
 
-    def __init__(self, layers, downsample, w_out, b_out, vocab, mode, lookahead=None):
+    def __init__(self, layers, downsample, w_out, b_out, vocab, mode):
         if mode not in MODES:
             raise ValueError("mode must be one of %r" % (MODES,))
         layers = list(layers)
@@ -218,8 +218,13 @@ class Network:
         self.b_out = b_out
         self.vocab = vocab
         self.mode = mode
-        self.lookahead = (1 if mode == "frame-classifier" else 0) if lookahead is None else int(lookahead)
         self.version = 0
+
+    @property
+    def lookahead(self):
+        """Frames an output lags its label, fixed by the mode: output t of the
+        frame classifier predicts frame t - 1; the CTC modes have none."""
+        return 1 if self.mode == "frame-classifier" else 0
 
     @property
     def input_dim(self):
@@ -238,19 +243,17 @@ class Network:
         return out
 
     def copy(self):
-        net = Network(
+        return Network(
             [l.copy() for l in self.layers],
             self.downsample,
             self.w_out.copy(),
             self.b_out.copy(),
             self.vocab,
             self.mode,
-            self.lookahead,
         )
-        return net
 
     @classmethod
-    def random(cls, input_dim, hidden_dims, vocab, mode, downsample=None, seed=0, lookahead=None):
+    def random(cls, input_dim, hidden_dims, vocab, mode, downsample=None, seed=0):
         """Fresh network with uniform(-0.05, 0.05) weights.
 
         All weights come from one PCG64 stream seeded with `seed`, drawn in
@@ -268,7 +271,7 @@ class Network:
             d = h
         w_out = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab.size, d))
         b_out = np.zeros(vocab.size)
-        return cls(layers, downsample, w_out, b_out, vocab, mode, lookahead)
+        return cls(layers, downsample, w_out, b_out, vocab, mode)
 
 
 @dataclass
@@ -390,7 +393,8 @@ def save_network(net, path):
     then every parameter as raw little-endian float64, row-major: per layer
     the (4H, D+H) weights `w` (gates i, f, o, g, each with its input columns
     first) and the (4H,) bias `b`, then the softmax weights and bias.
-    Round-trips are bit-exact.
+    Round-trips are bit-exact.  load_network rejects a header whose
+    lookahead is not the one its mode fixes.
     """
     header = {
         "mode": net.mode,
@@ -438,8 +442,9 @@ def load_network(path):
             np.zeros(vocab.size),
             vocab,
             header["mode"],
-            header["lookahead"],
         )
+        if header["lookahead"] != net.lookahead:
+            raise ValueError("lookahead %r does not fit mode %r" % (header["lookahead"], net.mode))
     except KeyError as exc:
         raise NetworkFormatError("%s: header has no key %s" % (path, exc)) from None
     except (TypeError, ValueError) as exc:

@@ -10,17 +10,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def logsumexp(values):
-    """log(exp(v_1) + ... + exp(v_n)) via the max shift; all -inf in, -inf out."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("logsumexp needs at least one value")
-    m = float(np.max(v))
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
 def log_softmax(logits):
     """Log-probabilities from finite logits, over the last axis.
 

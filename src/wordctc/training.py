@@ -173,9 +173,7 @@ def evaluate(model, utterances):
 
 
 def _evaluate_prepared(model, prepared):
-    compare = edit_distance
-    if model.mode == "frame-classifier":
-        compare = frame_errors
+    compare = frame_errors if model.mode == "frame-classifier" else edit_distance
     return error_rate(pool(
         compare(target, decode_utterance(model, features)) for _, features, target in prepared
     ))
@@ -288,18 +286,7 @@ def train(model, train_utterances, dev_utterances, cfg):
 def format_train_log(records):
     """One TSV record per epoch, fields in fixed order:
     epoch, phase, lr, train_loss, train_perplexity, dev_metric, skipped."""
-    lines = [
-        "\t".join(
-            (
-                str(r.epoch),
-                str(r.phase),
-                repr(r.lr),
-                repr(r.train_loss),
-                repr(r.train_perplexity),
-                repr(r.dev_metric),
-                str(r.skipped),
-            )
-        )
-        for r in records
-    ]
+    lines = ["%d\t%d\t%r\t%r\t%r\t%r\t%d" % (r.epoch, r.phase, r.lr, r.train_loss,
+                                             r.train_perplexity, r.dev_metric, r.skipped)
+             for r in records]
     return "\n".join(lines) + "\n"

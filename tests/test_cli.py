@@ -11,7 +11,15 @@ import pytest
 
 from wordctc.cli import _Outputs, main
 from wordctc.ctc import Vocabulary
-from wordctc.data import Utterance, load_features, load_lexicon, save_corpus, save_features
+from wordctc.data import (
+    Utterance,
+    load_corpus,
+    load_features,
+    load_lexicon,
+    save_corpus,
+    save_features,
+    subset,
+)
 from wordctc.network import Network, downsample_schedule, save_network
 from wordctc.training import evaluate, training_perplexity
 
@@ -104,6 +112,14 @@ class TestTrain:
         assert run("train", "--config", cfg, "--data", data_dir,
                    "--out-dir", tmp_path / "o") == 4
 
+    def test_config_file_not_utf8(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"mode = word-ctc\nseed = \xff5\n")
+        out = tmp_path / "o"
+        assert run("train", "--config", cfg, "--data", data_dir, "--out-dir", out) == 4
+        assert "%s line 2: byte 0xff is not UTF-8" % cfg in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope", "--out-dir", tmp_path / "o",
                    *TINY_TRAIN) == 4
@@ -115,10 +131,14 @@ class TestTrain:
         assert code == 4
         assert not list(out.iterdir())
 
-    def test_data_fraction(self, tmp_path, data_dir):
+    def test_data_fraction(self, tmp_path, data_dir, capsys):
         out = tmp_path / "half"
         assert run("train", "--data", data_dir, "--out-dir", out,
                    "--data-fraction", "0.5", *TINY_TRAIN) == 0
+        seed = int(TINY_TRAIN[TINY_TRAIN.index("--seed") + 1])
+        subset_seed = np.random.SeedSequence(seed).spawn(3)[2]
+        kept = subset(load_corpus(data_dir / "train"), 0.5, subset_seed)
+        assert "(%d utterances," % len(kept) in capsys.readouterr().out
 
     def test_phoneme_mode(self, tmp_path, data_dir):
         out = tmp_path / "phone"
@@ -230,7 +250,26 @@ class TestDecodeAndScore:
                    "--fer") == 3
         assert lines[1].split("\t")[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier"])
+    def test_score_not_utf8(self, tmp_path, data_dir, capsys):
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_bytes(b"dev-0\tw00\ndev-1\tw\xff01\n")
+        out = tmp_path / "s"
+        assert run("score", "--ref", data_dir / "dev" / "corpus.tsv", "--hyp", hyp,
+                   "--out-dir", out) == 3
+        assert "%s line 2: byte 0xff is not UTF-8" % hyp in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("fer", [False, True], ids=["wer", "fer"])
+    def test_score_empty_reference_set(self, tmp_path, capsys, fer):
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("u1\t\nu2\t\n")
+        out = tmp_path / "s"
+        assert run("score", "--ref", ref, "--hyp", ref, "--out-dir", out,
+                   *(["--fer"] if fer else [])) == 3
+        assert str(ref) in capsys.readouterr().err
+        assert not (out / "report.tsv").exists()
+
+    @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         if damage == "half":
@@ -240,6 +279,8 @@ class TestDecodeAndScore:
             header = json.loads(blob[12 : 12 + header_len])
             if damage == "no-labels":
                 del header["labels"]
+            elif damage == "lookahead":
+                header["lookahead"] = 2
             else:
                 # the model halves its frame rate, which a frame classifier cannot
                 header["mode"] = "frame-classifier"

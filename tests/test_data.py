@@ -23,7 +23,7 @@ from wordctc.data import (
     save_lexicon,
     save_synth_corpus,
     save_transcripts,
-    train_dev_split,
+    subset,
 )
 
 SMALL = SynthConfig(seed=3, vocab_size=8, n_phonemes=6, feature_dim=4,
@@ -134,70 +134,82 @@ class TestCorpusIO:
 
 
 def _three_utterances(root):
-    """A corpus of u0-u2, one word each with per-frame labels, and a
-    transcripts file hyp.tsv of the same ids."""
+    """A corpus of u0-u2, one word each with per-frame labels, a transcripts
+    file hyp.tsv of the same ids, and a lexicon.tsv of their words."""
     utts = [Utterance("u%d" % i, np.zeros((2, 2), dtype=np.float32), ("w%d" % i,),
                       ("w%d" % i,) * 2) for i in range(3)]
     save_corpus(utts, root)
     save_transcripts({u.utt_id: u.transcript for u in utts}, root / "hyp.tsv")
+    save_lexicon(Lexicon({"w%d" % i: ("p%d" % i,) for i in range(3)}), root / "lexicon.tsv")
 
 
 @pytest.mark.parametrize("name, edits, line", [
-    ("corpus.tsv", {2: "u1\tfeats/u1.feat"}, 2),
-    ("corpus.tsv", {3: "u0\tfeats/u0.feat\tw0"}, 3),
-    ("align.tsv", {2: "u1"}, 2),
-    ("align.tsv", {3: "u0\tw0 w0"}, 3),
-    ("align.tsv", {4: "ghost\tw0 w0"}, 4),
-    ("hyp.tsv", {2: "u1\tfeats/u1.feat\tw1\textra"}, 2),
-    ("hyp.tsv", {3: "u0\tw0"}, 3),
+    ("corpus.tsv", {2: b"u1\tfeats/u1.feat"}, 2),
+    ("corpus.tsv", {3: b"u0\tfeats/u0.feat\tw0"}, 3),
+    ("align.tsv", {2: b"u1"}, 2),
+    ("align.tsv", {3: b"u0\tw0 w0"}, 3),
+    ("align.tsv", {4: b"ghost\tw0 w0"}, 4),
+    ("hyp.tsv", {2: b"u1\tfeats/u1.feat\tw1\textra"}, 2),
+    ("hyp.tsv", {3: b"u0\tw0"}, 3),
     # two faults in one file: the first in file order is the one reported
-    ("corpus.tsv", {2: "u0\tfeats/u0.feat\tw0", 3: "u2"}, 2),
-    ("hyp.tsv", {2: "u1", 3: "u0\tw0"}, 2),
+    ("corpus.tsv", {2: b"u0\tfeats/u0.feat\tw0", 3: b"u2"}, 2),
+    ("hyp.tsv", {2: b"u1", 3: b"u0\tw0"}, 2),
+    ("hyp.tsv", {2: b"u1", 3: b"u2\t\xff"}, 2),
+    # a byte that is not UTF-8
+    ("corpus.tsv", {2: b"u1\tfeats/u1.feat\tw\xff1"}, 2),
+    ("align.tsv", {3: b"u2\tw2 \xfe"}, 3),
+    ("lexicon.tsv", {2: b"w1\tp\xff"}, 2),
+    ("hyp.tsv", {3: b"u2\t\xc3"}, 3),
 ], ids=["corpus-count", "corpus-duplicate", "align-count", "align-duplicate",
         "align-unknown-utterance", "transcripts-count", "transcripts-duplicate",
-        "corpus-first-of-two", "transcripts-first-of-two"])
+        "corpus-first-of-two", "transcripts-first-of-two", "count-before-bad-byte",
+        "corpus-not-utf8", "align-not-utf8", "lexicon-not-utf8", "transcripts-not-utf8"])
 def test_malformed_record_names_file_and_line(tmp_path, name, edits, line):
     _three_utterances(tmp_path)
     path = tmp_path / name
-    lines = path.read_text().splitlines()
+    lines = path.read_bytes().splitlines()
     for lineno, text in edits.items():
         lines[lineno - 1:lineno] = [text]
-    path.write_text("\n".join(lines) + "\n")
-    load, arg = (load_transcripts, path) if name == "hyp.tsv" else (load_corpus, tmp_path)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    load, arg = {"hyp.tsv": (load_transcripts, path),
+                 "lexicon.tsv": (load_lexicon, path)}.get(name, (load_corpus, tmp_path))
     with pytest.raises(ManifestError, match="%s line %d:" % (re.escape(str(path)), line)):
         load(arg)
 
 
-class TestSplit:
-    def test_nine_one(self):
-        utts = ["u%d" % i for i in range(10)]
-        train, dev = train_dev_split(utts, 0.9, seed=0)
-        assert len(train) == 9 and len(dev) == 1
+def test_not_utf8_names_the_byte_after_other_line_breaks(tmp_path):
+    # lines are numbered as str.splitlines numbers them, as for a file that decodes
+    path = tmp_path / "hyp.tsv"
+    path.write_bytes(b"u0\ta\r\nu1\tb\ru2\tc\xff\n")
+    with pytest.raises(ManifestError, match="line 3: byte 0xff is not UTF-8"):
+        load_transcripts(path)
+
+
+class TestSubset:
+    def test_keeps_corpus_order(self):
+        kept = subset(list(range(30)), 0.4, seed=0)
+        assert len(kept) == 12 and kept == sorted(kept)
+        assert kept != list(range(12))
+
+    @pytest.mark.parametrize("n, fraction, k", [
+        (5, 0.5, 2), (10, 0.2, 2), (4, 0.1, 1), (101, 0.5, 50), (7, 0.95, 7),
+    ])
+    def test_size_is_max_one_round_fraction_n(self, n, fraction, k):
+        assert len(subset(list(range(n)), fraction, seed=1)) == k
 
     def test_seed_determinism(self):
         utts = list(range(30))
-        a = train_dev_split(utts, 0.8, seed=5)
-        b = train_dev_split(utts, 0.8, seed=5)
-        assert a == b
-        c = train_dev_split(utts, 0.8, seed=6)
-        assert a != c
+        assert subset(utts, 0.5, seed=5) == subset(utts, 0.5, seed=5)
+        assert subset(utts, 0.5, seed=5) != subset(utts, 0.5, seed=6)
 
-    def test_rounding_floors_dev(self):
-        utts = list(range(101))
-        train, dev = train_dev_split(utts, 0.5, seed=1)
-        assert (len(train), len(dev)) == (51, 50)
+    def test_fraction_one_keeps_everything(self):
+        utts = ["u%d" % i for i in range(9)]
+        assert subset(utts, 1, seed=3) == utts
 
-    def test_partition(self):
-        utts = list(range(20))
-        train, dev = train_dev_split(utts, 0.7, seed=2)
-        assert sorted(train + dev) == utts
-        assert not set(train) & set(dev)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            train_dev_split([1, 2], 0.9, seed=0)
-        with pytest.raises(ValueError):
-            train_dev_split(list(range(10)), 1.5, seed=0)
+    @pytest.mark.parametrize("fraction", [0, 1.5])
+    def test_out_of_range_rejected(self, fraction):
+        with pytest.raises(ValueError, match=re.escape("data fraction must be in (0, 1]")):
+            subset(list(range(10)), fraction, seed=0)
 
 
 class TestGenerator:

@@ -11,7 +11,6 @@ from wordctc.metrics import (
     edit_distance,
     error_rate,
     fer_report,
-    frame_error_rate,
     frame_errors,
     pool,
     score_report,
@@ -153,21 +152,21 @@ class TestErrorRate:
 
 class TestFrameErrorRate:
     def test_identical(self):
-        assert frame_error_rate("aaaa", "aaaa") == 0.0
+        assert error_rate(frame_errors("aaaa", "aaaa")) == 0.0
 
     def test_one_in_four(self):
-        assert frame_error_rate("aaaa", "aaab") == 25.0
+        assert error_rate(frame_errors("aaaa", "aaab")) == 25.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            frame_error_rate("aaa", "aa")
+            error_rate(frame_errors("aaa", "aa"))
 
     def test_random_rate_near_chance(self):
         rng = np.random.default_rng(0)
         k = 5
         ref = rng.integers(0, k, size=20000)
         hyp = rng.integers(0, k, size=20000)
-        rate = frame_error_rate(ref.tolist(), hyp.tolist())
+        rate = error_rate(frame_errors(ref.tolist(), hyp.tolist()))
         assert abs(rate - 100 * (1 - 1 / k)) < 2.0
 
 

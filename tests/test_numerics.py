@@ -5,34 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordctc.numerics import NEG_INF, clip_global_norm, global_norm, log_softmax, logsumexp
-
-
-class TestLogsumexp:
-    def test_two_equal_terms(self):
-        assert logsumexp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_neg_inf_is_identity(self):
-        assert logsumexp([NEG_INF, 3.5]) == pytest.approx(3.5, abs=0)
-
-    def test_all_neg_inf(self):
-        assert logsumexp([NEG_INF, NEG_INF]) == NEG_INF
-
-    def test_huge_inputs_do_not_overflow(self):
-        # against direct summation after shifting by the max
-        assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0), abs=1e-9)
-        assert math.isfinite(logsumexp([1e300, 1e300]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            logsumexp([])
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=20))
-    @settings(max_examples=200, deadline=None)
-    def test_bounds(self, values):
-        out = logsumexp(values)
-        assert out >= max(values)
-        assert out <= max(values) + math.log(len(values)) + 1e-12
+from wordctc.numerics import clip_global_norm, global_norm, log_softmax
 
 
 class TestLogSoftmax:
