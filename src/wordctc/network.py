@@ -158,6 +158,11 @@ def lstm_backward(layer, tape, d_hidden):
     d_hidden is the (T, hidden) gradient arriving at the layer's outputs;
     returns (d_inputs, grads) where grads are the per-gate views of the
     stacked weight and bias gradients, in the order of `layer.params()`.
+
+    The gate-derivative factors that do not depend on the recurrence are
+    computed for all frames before the time loop (Appleyard et al.,
+    arXiv:1604.01946), so each step is a few in-place vector operations and
+    one matrix-vector product.
     """
     d_hidden = np.asarray(d_hidden, dtype=np.float64)
     T = tape.inputs.shape[0]
@@ -165,22 +170,32 @@ def lstm_backward(layer, tape, d_hidden):
     D = layer.input_dim
     if d_hidden.shape != (T, H):
         raise ValueError("expected (%d, %d) output grads, got %r" % (T, H, d_hidden.shape))
-    wh = layer.w[:, D:]
+    # a contiguous copy keeps the per-step product on the BLAS path
+    wh = np.ascontiguousarray(layer.w[:, D:])
     i, f, o, g = tape.gates.reshape(T, 4, H).transpose(1, 0, 2)
+    tc = tape.tanh_cell
+    c_prev = np.vstack([np.zeros((1, H)), tape.cell[:-1]])
+    # d_act[t] is [dc, dc, dh, dc] * factors[t], gate by gate; dc = dh * dc_dh + dc_rec
+    factors = np.empty((T, 4, H))
+    factors[:, 0] = g * i * (1.0 - i)
+    factors[:, 1] = c_prev * f * (1.0 - f)
+    factors[:, 2] = o * (1.0 - o) * tc
+    factors[:, 3] = i * (1.0 - g**2)
+    dc_dh = o * (1.0 - tc**2)
     d_act = np.empty((T, 4 * H))
+    gate_act = d_act.reshape(T, 4, H)
+    dh = np.empty(H)
+    dc = np.empty(H)
     dh_rec = np.zeros(H)
     dc_rec = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        dh = d_hidden[t] + dh_rec
-        do = dh * tape.tanh_cell[t]
-        dc = dh * o[t] * (1.0 - tape.tanh_cell[t] ** 2) + dc_rec
-        c_prev = tape.cell[t - 1] if t > 0 else 0.0
-        d_act[t, :H] = dc * g[t] * i[t] * (1.0 - i[t])
-        d_act[t, H : 2 * H] = dc * c_prev * f[t] * (1.0 - f[t])
-        d_act[t, 2 * H : 3 * H] = do * o[t] * (1.0 - o[t])
-        d_act[t, 3 * H :] = dc * i[t] * (1.0 - g[t] ** 2)
-        dc_rec = dc * f[t]
-        dh_rec = d_act[t] @ wh
+        np.add(d_hidden[t], dh_rec, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
+        dc += dc_rec
+        np.multiply(dc, factors[t], out=gate_act[t])
+        np.multiply(dh, factors[t, 2], out=gate_act[t, 2])  # the output gate sees dh
+        np.multiply(dc, f[t], out=dc_rec)
+        np.dot(d_act[t], wh, out=dh_rec)
     h_prev = np.vstack([np.zeros((1, H)), tape.hidden[:-1]])
     z = np.hstack([tape.inputs, h_prev])
     dw = d_act.T @ z

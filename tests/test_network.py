@@ -133,6 +133,35 @@ def fd_check(param, grad, loss_fn, eps=1e-6, floor=1e-2):
     return worst
 
 
+def _reference_lstm_backward(layer, tape, d_hidden):
+    """Backpropagation through time one gate expression at a time per step:
+    the oracle for lstm_backward, which hoists the gate factors out of the loop."""
+    T = tape.inputs.shape[0]
+    H = layer.hidden_dim
+    D = layer.input_dim
+    wh = layer.w[:, D:]
+    i, f, o, g = tape.gates.reshape(T, 4, H).transpose(1, 0, 2)
+    d_act = np.empty((T, 4 * H))
+    dh_rec = np.zeros(H)
+    dc_rec = np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        dh = d_hidden[t] + dh_rec
+        do = dh * tape.tanh_cell[t]
+        dc = dh * o[t] * (1.0 - tape.tanh_cell[t] ** 2) + dc_rec
+        c_prev = tape.cell[t - 1] if t > 0 else 0.0
+        d_act[t, :H] = dc * g[t] * i[t] * (1.0 - i[t])
+        d_act[t, H : 2 * H] = dc * c_prev * f[t] * (1.0 - f[t])
+        d_act[t, 2 * H : 3 * H] = do * o[t] * (1.0 - o[t])
+        d_act[t, 3 * H :] = dc * i[t] * (1.0 - g[t] ** 2)
+        dc_rec = dc * f[t]
+        dh_rec = d_act[t] @ wh
+    h_prev = np.vstack([np.zeros((1, H)), tape.hidden[:-1]])
+    z = np.hstack([tape.inputs, h_prev])
+    dw = d_act.T @ z
+    d_inputs = d_act @ layer.w[:, :D]
+    return d_inputs, [*np.split(dw, 4), *np.split(d_act.sum(axis=0), 4)]
+
+
 class TestLSTMBackward:
     def test_zero_output_grads(self):
         rng = np.random.default_rng(2)
@@ -144,26 +173,41 @@ class TestLSTMBackward:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_finite_differences_single_layer(self):
-        rng = np.random.default_rng(3)
-        layer = LSTMLayer.random(2, 4, rng)
-        x = rng.normal(size=(3, 2))
-        target = rng.normal(size=(3, 4))
+        # T = 1 is the step whose previous cell state is the zero initial one
+        for T in (3, 1):
+            rng = np.random.default_rng(3)
+            layer = LSTMLayer.random(2, 4, rng)
+            x = rng.normal(size=(T, 2))
+            target = rng.normal(size=(T, 4))
 
-        def loss():
-            out, _ = lstm_forward(layer, x)
-            return 0.5 * float(np.sum((out - target) ** 2))
+            def loss():
+                out, _ = lstm_forward(layer, x)
+                return 0.5 * float(np.sum((out - target) ** 2))
 
-        out, tape = lstm_forward(layer, x)
-        d_in, grads = lstm_backward(layer, tape, out - target)
-        for p, g in zip(layer.params(), grads):
-            assert fd_check(p, g, loss) < 1e-4
+            out, tape = lstm_forward(layer, x)
+            d_in, grads = lstm_backward(layer, tape, out - target)
+            for p, g in zip(layer.params(), grads):
+                assert fd_check(p, g, loss) < 1e-4
+            # input gradients too
+            assert fd_check(x, d_in, loss) < 1e-4
 
-        # input gradients too
-        def loss_x():
-            out2, _ = lstm_forward(layer, x)
-            return 0.5 * float(np.sum((out2 - target) ** 2))
-
-        assert fd_check(x, d_in, loss_x) < 1e-4
+    @pytest.mark.parametrize("T", [1, 2, 7, 400])
+    def test_matches_per_step_reference(self, T):
+        rng = np.random.default_rng(T)
+        D, H = 5, 6
+        # weights and inputs scaled x10 so that many gates saturate
+        layer = LSTMLayer(LSTMLayer.random(D, H, rng).w * 10.0, rng.normal(size=4 * H))
+        _, tape = lstm_forward(layer, rng.normal(scale=10.0, size=(T, D)))
+        sigmoid_gates = tape.gates[:, : 3 * H]
+        assert np.mean(sigmoid_gates * (1.0 - sigmoid_gates) < 0.01) > 0.2
+        d_hidden = rng.normal(size=(T, H))
+        d_in, grads = lstm_backward(layer, tape, d_hidden)
+        want_in, want_grads = _reference_lstm_backward(layer, tape, d_hidden)
+        for got, want in zip([d_in, *grads], [want_in, *want_grads]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        again_in, again_grads = lstm_backward(layer, tape, d_hidden)
+        for got, again in zip([d_in, *grads], [again_in, *again_grads]):
+            assert np.array_equal(got, again)
 
 
 class TestNetworkForward:
