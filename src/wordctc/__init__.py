@@ -64,6 +64,7 @@ from .network import (
     NetworkFormatError,
     SequenceTooShortError,
     StaleTapeError,
+    batch_sizes_of,
     downsample,
     downsample_schedule,
     load_network,
@@ -71,9 +72,11 @@ from .network import (
     lstm_forward,
     network_backward,
     network_forward,
+    pack,
     save_network,
     sgd_update,
     transfer_bottom_layers,
+    unpack,
 )
 from .numerics import clip_global_norm, global_norm, log_softmax
 from .training import (
@@ -82,7 +85,7 @@ from .training import (
     TrainResult,
     TrainingError,
     convert_transcripts_to_phonemes,
-    decode_utterance,
+    decode_utterances,
     evaluate,
     format_train_log,
     train,

@@ -58,7 +58,7 @@ from .training import (
     TrainConfig,
     TrainingError,
     convert_transcripts_to_phonemes,
-    decode_utterance,
+    decode_utterances,
     format_train_log,
     train,
 )
@@ -340,7 +340,8 @@ def cmd_decode(opts, out):
     model = load_network(opts.model)
     utts = load_corpus(opts.data)
     _check_feature_dim(model.input_dim, opts.model, utts, opts.data)
-    hyps = {u.utt_id: model.vocab.decode(decode_utterance(model, u.features)) for u in utts}
+    hyps = {u.utt_id: model.vocab.decode(ids)
+            for u, ids in zip(utts, decode_utterances(model, [u.features for u in utts]))}
     save_transcripts(hyps, out.claim("hypotheses.tsv"))
     print("decoded %d utterances" % len(utts))
     return EXIT_OK

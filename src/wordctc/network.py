@@ -36,17 +36,60 @@ class NetworkFormatError(DataFormatError):
     """Malformed network checkpoint file."""
 
 
-def downsample(seq):
-    """Keep the 1st, 3rd, 5th, ... frames; the output has exactly T // 2 of them.
+def batch_sizes_of(lengths):
+    """Rows per time step of the packed layout of sequences whose lengths
+    are `lengths`, in decreasing order: step t holds one row for each
+    sequence longer than t."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not lengths.size or lengths[-1] < 0 or np.any(np.diff(lengths) > 0):
+        raise ValueError("lengths must be a nonempty decreasing sequence of counts")
+    return len(lengths) - np.cumsum(np.bincount(lengths))[: lengths[0]]
 
-    For odd T the final frame is dropped entirely.  Sequences of length 0 or
-    1 cannot be halved and raise SequenceTooShortError.
+
+def _packed_positions(lengths):
+    """Time step and sequence of each row of the packed layout."""
+    sizes = batch_sizes_of(lengths)
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    seq = np.arange(len(step)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return step, seq
+
+
+def _source_rows(lengths):
+    """Row of each packed row when the sequences are laid end to end."""
+    step, seq = _packed_positions(lengths)
+    return (np.cumsum(lengths) - lengths)[seq] + step
+
+
+def pack(seqs):
+    """Time-major packed rows of sequences given in decreasing length, plus
+    their lengths: step t's rows are the t-th row of every sequence longer
+    than t, in the given order."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    return np.concatenate(seqs)[_source_rows(lengths)], lengths
+
+
+def unpack(packed, lengths):
+    """The sequences `pack` laid out, each a contiguous array."""
+    rows = np.empty_like(packed)
+    rows[_source_rows(lengths)] = packed
+    return np.split(rows, np.cumsum(lengths)[:-1])
+
+
+def downsample(seq, lengths=None):
+    """Keep the 1st, 3rd, 5th, ... frames; a T-frame sequence keeps exactly
+    T // 2 of them, so for odd T the final frame is dropped entirely.
+
+    `seq` is one sequence, or with `lengths` several in the packed layout of
+    `pack`, each halved on its own and the result packed the same way.
+    Sequences of length 0 or 1 cannot be halved and raise
+    SequenceTooShortError.
     """
     seq = np.asarray(seq)
-    n = seq.shape[0]
-    if n <= 1:
-        raise SequenceTooShortError("cannot halve a %d-frame sequence" % n)
-    return seq[0 : 2 * (n // 2) : 2]
+    lengths = np.array([seq.shape[0]] if lengths is None else lengths, dtype=np.int64)
+    if lengths.min() <= 1:
+        raise SequenceTooShortError("cannot halve a %d-frame sequence" % lengths.min())
+    step, index = _packed_positions(lengths)
+    return seq[(step % 2 == 0) & (step + 1 < lengths[index])]
 
 
 def downsample_schedule(factor, n_layers):
@@ -123,32 +166,60 @@ class LayerTape:
     hidden: np.ndarray
 
 
-def lstm_forward(layer, inputs):
-    """Run the recurrence over a (T, input_dim) sequence from zero initial state."""
+def lstm_forward(layer, inputs, batch_sizes=None):
+    """Run the recurrence from zero initial state over packed sequences.
+
+    `inputs` is (N, input_dim) in the time-major layout of `pack`: step t's
+    rows are the next `batch_sizes[t]` rows, one per sequence still running,
+    longest sequence first.  The default is one sequence of N frames.  The
+    input projection of all rows is one product before the time loop, and
+    each step adds one recurrent product over the rows still running
+    (Appleyard et al., arXiv:1604.01946); the gates are computed in place in
+    the projection buffer.
+    """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
-        raise ValueError("expected (T, %d) inputs, got %r" % (layer.input_dim, x.shape))
-    T = x.shape[0]
+        raise ValueError("expected (N, %d) inputs, got %r" % (layer.input_dim, x.shape))
+    N = x.shape[0]
+    if batch_sizes is None:
+        sizes = [1] * N
+    else:
+        sizes = np.asarray(batch_sizes, dtype=np.int64).tolist()
+        if sum(sizes) != N or min(sizes, default=1) < 1 or sorted(sizes, reverse=True) != sizes:
+            raise ValueError("batch sizes must be positive, nonincreasing and sum to %d" % N)
     H = layer.hidden_dim
     D = layer.input_dim
     wh = layer.w[:, D:]
-    gx = x @ layer.w[:, :D].T + layer.b
-    gates = np.empty((T, 4 * H))
-    i, f, o, g = gates.reshape(T, 4, H).transpose(1, 0, 2)
-    c = np.empty((T, H))
-    tc = np.empty((T, H))
-    h = np.empty((T, H))
-    h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
-    for t in range(T):
-        a = gx[t] + wh @ h_prev
-        expit(a[: 3 * H], out=gates[t, : 3 * H])
-        np.tanh(a[3 * H :], out=gates[t, 3 * H :])
-        c[t] = f[t] * c_prev + i[t] * g[t]
-        tc[t] = np.tanh(c[t])
-        h[t] = o[t] * tc[t]
-        h_prev = h[t]
-        c_prev = c[t]
+    gates = x @ layer.w[:, :D].T
+    gates += layer.b
+    i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+    sig, cand = gates[:, : 3 * H], gates[:, 3 * H :]
+    c = np.empty((N, H))
+    tc = np.empty((N, H))
+    h = np.empty((N, H))
+    # an int index for a one-row step keeps that step on vector operations
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    rows = [s if b == 1 else slice(s, s + b) for s, b in zip(starts, sizes)]
+    prev = [s if b == 1 else slice(s, s + b) for s, b in zip(starts, sizes[1:])]
+    if N:  # step 0 has no recurrent input and no previous cell
+        r = rows[0]
+        a = sig[r]
+        expit(a, out=a)
+        a = cand[r]
+        np.tanh(a, out=a)
+        np.multiply(i[r], g[r], out=c[r])
+        np.tanh(c[r], out=tc[r])
+        np.multiply(o[r], tc[r], out=h[r])
+    for r, p in zip(rows[1:], prev):
+        a = gates[r]
+        a += (wh @ h[p].T).T
+        a = sig[r]
+        expit(a, out=a)
+        a = cand[r]
+        np.tanh(a, out=a)
+        c[r] = f[r] * c[p] + i[r] * g[r]
+        np.tanh(c[r], out=tc[r])
+        np.multiply(o[r], tc[r], out=h[r])
     return h, LayerTape(x, gates, c, tc, h)
 
 
@@ -292,9 +363,10 @@ class Network:
 @dataclass
 class ForwardTape:
     layer_tapes: list
-    pre_lengths: list
+    pre_lengths: list  # per layer, the rows before each of its halvings
     top_hidden: np.ndarray
     version: int
+    lengths: np.ndarray  # lattice rows of each utterance
 
 
 @dataclass
@@ -312,31 +384,38 @@ class NetworkGradients:
         return out
 
 
-def network_forward(net, features):
+def network_forward(net, features, lengths=None):
     """Per-frame log-probabilities over the output labels, plus the tape.
 
-    The lattice has floor(T / 2**m) rows under m total halvings; every row
+    `features` is one utterance, (T, input_dim), or with `lengths` several
+    utterances in the packed layout of `pack`, longest first.  Each
+    utterance is halved on its own, so under m total halvings it gets
+    floor(T / 2**m) lattice rows, packed like the features; every row
     exponentiates to a distribution.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError("expected (T, %d) features, got %r" % (net.input_dim, x.shape))
-    if x.shape[0] == 0:
+    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.int64)
+    if lengths.sum() != x.shape[0]:
+        raise ValueError("lengths sum to %d, but there are %d frames" % (lengths.sum(), x.shape[0]))
+    if not lengths.size or lengths.min() == 0:
         raise SequenceTooShortError("empty feature sequence")
     tapes = []
     pre_lengths = []
     h = x
     for layer, halvings in zip(net.layers, net.downsample):
-        lens = []
+        rows = []
         for _ in range(halvings):
-            lens.append(h.shape[0])
-            h = downsample(h)
-        h, tape = lstm_forward(layer, h)
+            rows.append(h.shape[0])
+            h = downsample(h, lengths)
+            lengths = lengths // 2
+        h, tape = lstm_forward(layer, h, batch_sizes_of(lengths))
         tapes.append(tape)
-        pre_lengths.append(lens)
+        pre_lengths.append(rows)
     logits = h @ net.w_out.T + net.b_out
     lattice = log_softmax(logits)
-    return lattice, ForwardTape(tapes, pre_lengths, h, net.version)
+    return lattice, ForwardTape(tapes, pre_lengths, h, net.version, lengths)
 
 
 def network_backward(net, tape, d_logits):
@@ -348,6 +427,8 @@ def network_backward(net, tape, d_logits):
     """
     if tape.version != net.version:
         raise StaleTapeError("tape is stale; the network was updated after the forward pass")
+    if len(tape.lengths) != 1:
+        raise ValueError("backpropagation needs one utterance's tape, got %d" % len(tape.lengths))
     d_logits = np.asarray(d_logits, dtype=np.float64)
     expected = (tape.top_hidden.shape[0], net.vocab.size)
     if d_logits.shape != expected:

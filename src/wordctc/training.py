@@ -15,10 +15,19 @@ import numpy as np
 from .ctc import InfeasibleTargetError, ctc_log_likelihood, ctc_loss_and_gradient, greedy_decode
 from .data import Utterance
 from .metrics import edit_distance, error_rate, frame_errors, pool
-from .network import SequenceTooShortError, network_backward, network_forward, sgd_update
+from .network import (
+    SequenceTooShortError,
+    network_backward,
+    network_forward,
+    pack,
+    sgd_update,
+    unpack,
+)
 from .numerics import clip_global_norm
 
 log = logging.getLogger(__name__)
+
+MAX_BATCH_BYTES = 4 * 2**20  # layer tapes of one forward-only batch
 
 
 class TrainingError(RuntimeError):
@@ -139,28 +148,55 @@ def _utterance_pass(model, features, target):
     return loss, d_logits, n_labels, tape
 
 
-def _lattice(model, features):
-    """Forward pass without the tape; None when the utterance is too short
-    for the model's down-sampling."""
-    try:
-        return network_forward(model, features)[0]
-    except SequenceTooShortError:
-        return None
+def _tape_bytes(model, n_frames):
+    """Bytes of the layer tapes of one n_frames-frame utterance."""
+    total = 0
+    for layer, halvings in zip(model.layers, model.downsample):
+        n_frames >>= halvings
+        total += n_frames * (layer.input_dim + 7 * layer.hidden_dim) * 8
+    return total
 
 
-def decode_utterance(model, features):
-    """Greedy output label ids for one utterance.
+def _lattices(model, features):
+    """(index, lattice) for every utterance in `features` that the model's
+    down-sampling can halve; shorter ones are skipped.
+
+    Utterances run longest first, in batches whose layer tapes stay within
+    MAX_BATCH_BYTES (an utterance over it runs alone), and each lattice is
+    yielded as soon as its batch is done.
+    """
+    shortest = max(1, 2 ** sum(model.downsample))
+    order = sorted((i for i, f in enumerate(features) if len(f) >= shortest),
+                   key=lambda i: -len(features[i]))
+    batches, used = [], math.inf
+    for i in order:
+        cost = _tape_bytes(model, len(features[i]))
+        if used + cost > MAX_BATCH_BYTES:
+            batches.append([])
+            used = 0
+        batches[-1].append(i)
+        used += cost
+    for batch in batches:
+        packed, lengths = pack([features[i] for i in batch])
+        # the tape is dropped here, so two batches' tapes are never alive at once
+        lattice = network_forward(model, packed, lengths)[0]
+        yield from zip(batch, unpack(lattice, lengths >> sum(model.downsample)))
+
+
+def decode_utterances(model, features):
+    """Greedy output label ids for each utterance, in input order.
 
     The collapsed best path for the CTC modes, one prediction per frame for
-    the frame classifier, and () when the utterance is too short for the
-    model's down-sampling, which scoring counts as a full deletion.
+    the frame classifier, and () for an utterance too short for the model's
+    down-sampling, which scoring counts as a full deletion.
     """
-    lattice = _lattice(model, features)
-    if lattice is None:
-        return ()
-    if model.mode == "frame-classifier":
-        return classifier_frame_predictions(model, lattice)
-    return greedy_decode(lattice)
+    hyps = [()] * len(features)
+    for i, lattice in _lattices(model, features):
+        if model.mode == "frame-classifier":
+            hyps[i] = classifier_frame_predictions(model, lattice)
+        else:
+            hyps[i] = greedy_decode(lattice)
+    return hyps
 
 
 def evaluate(model, utterances):
@@ -174,9 +210,8 @@ def evaluate(model, utterances):
 
 def _evaluate_prepared(model, prepared):
     compare = frame_errors if model.mode == "frame-classifier" else edit_distance
-    return error_rate(pool(
-        compare(target, decode_utterance(model, features)) for _, features, target in prepared
-    ))
+    hyps = decode_utterances(model, [features for _, features, _ in prepared])
+    return error_rate(pool(compare(target, hyp) for (_, _, target), hyp in zip(prepared, hyps)))
 
 
 def training_perplexity(model, utterances):
@@ -185,22 +220,19 @@ def training_perplexity(model, utterances):
     CTC modes count target labels; the frame classifier counts scored
     frames.  Infeasible and too-short utterances contribute +inf.
     """
-    total = 0.0
-    n_labels = 0
-    for _, features, target in _prepare(utterances, model):
-        lattice = _lattice(model, features)
-        if lattice is None:
-            loss, n = math.inf, len(target)
-        elif model.mode == "frame-classifier":
-            loss, _, n = frame_loss_and_gradient(model, lattice, target)
+    prepared = _prepare(utterances, model)
+    losses = [math.inf] * len(prepared)
+    counts = [len(target) for _, _, target in prepared]
+    for i, lattice in _lattices(model, [features for _, features, _ in prepared]):
+        target = prepared[i][2]
+        if model.mode == "frame-classifier":
+            losses[i], _, counts[i] = frame_loss_and_gradient(model, lattice, target)
         else:
-            loss = -ctc_log_likelihood(lattice, target)
-            n = len(target)
-        total += loss
-        n_labels += n
+            losses[i] = -ctc_log_likelihood(lattice, target)
+    n_labels = sum(counts)
     if n_labels == 0:
         raise ValueError("no labels to normalize by")
-    return total / n_labels
+    return sum(losses) / n_labels
 
 
 def train(model, train_utterances, dev_utterances, cfg):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wordctc.cli import _Outputs, main
-from wordctc.ctc import Vocabulary
+from wordctc.ctc import Vocabulary, greedy_decode
 from wordctc.data import (
     Utterance,
     load_corpus,
@@ -18,9 +18,10 @@ from wordctc.data import (
     load_lexicon,
     save_corpus,
     save_features,
+    save_transcripts,
     subset,
 )
-from wordctc.network import Network, downsample_schedule, save_network
+from wordctc.network import Network, downsample_schedule, network_forward, save_network
 from wordctc.training import evaluate, training_perplexity
 
 TINY_SYNTH = [
@@ -212,6 +213,21 @@ class TestDecodeAndScore:
             assert run("decode", "--model", model_dir / "model.net",
                        "--data", data_dir / "dev", "--out-dir", out) == 0
         assert (a / "hypotheses.tsv").read_bytes() == (b / "hypotheses.tsv").read_bytes()
+
+    def test_decode_matches_per_utterance_oracle(self, tmp_path, data_dir):
+        # a random model with a sharpened head emits many words, so that
+        # batched and one-at-a-time decoding have something to disagree about
+        vocab = Vocabulary(tuple(sorted(load_lexicon(data_dir / "lexicon.tsv").words)))
+        model = Network.random(4, [8] * 3, vocab, "word-ctc", downsample=(0, 1, 1), seed=3)
+        model.w_out *= 200.0
+        save_network(model, tmp_path / "sharp.net")
+        assert run("decode", "--model", tmp_path / "sharp.net",
+                   "--data", data_dir / "train", "--out-dir", tmp_path / "dec") == 0
+        oracle = {u.utt_id: vocab.decode(greedy_decode(network_forward(model, u.features)[0]))
+                  for u in load_corpus(data_dir / "train")}
+        assert len(set(oracle.values())) > 3
+        save_transcripts(oracle, tmp_path / "oracle.tsv")
+        assert (tmp_path / "dec" / "hypotheses.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
 
     def test_score_fer(self, tmp_path, data_dir):
         # score alignments against themselves: 0 FER

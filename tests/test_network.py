@@ -11,6 +11,7 @@ from wordctc.network import (
     NetworkFormatError,
     SequenceTooShortError,
     StaleTapeError,
+    batch_sizes_of,
     downsample,
     downsample_schedule,
     load_network,
@@ -18,9 +19,11 @@ from wordctc.network import (
     lstm_forward,
     network_backward,
     network_forward,
+    pack,
     save_network,
     sgd_update,
     transfer_bottom_layers,
+    unpack,
 )
 
 VOCAB = Vocabulary(("a", "b", "c"))
@@ -49,6 +52,15 @@ class TestDownsample:
     def test_too_short(self, n):
         with pytest.raises(SequenceTooShortError):
             downsample(np.arange(n))
+
+    def test_packed_sequences_halve_each_on_their_own(self):
+        seqs = [np.arange(7) + 10, np.arange(4) + 20, np.arange(3) + 30, np.arange(2) + 40]
+        packed, lengths = pack(seqs)
+        halved = unpack(downsample(packed, lengths), lengths // 2)
+        for got, seq in zip(halved, seqs):
+            np.testing.assert_array_equal(got, downsample(seq))
+        with pytest.raises(SequenceTooShortError):
+            downsample(*pack(seqs + [np.arange(1)]))
 
     def test_length_law(self):
         for n in range(2, 65):
@@ -115,6 +127,101 @@ class TestLSTMForward:
         layer = LSTMLayer.random(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             lstm_forward(layer, np.zeros((4, 5)))
+
+
+def _reference_lstm_forward(layer, inputs):
+    """The single-utterance loop lstm_forward replaced: the oracle for the
+    packed kernel, bit for bit at one utterance."""
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    T = x.shape[0]
+    H = layer.hidden_dim
+    D = layer.input_dim
+    wh = layer.w[:, D:]
+    gx = x @ layer.w[:, :D].T + layer.b
+    gates = np.empty((T, 4 * H))
+    i, f, o, g = gates.reshape(T, 4, H).transpose(1, 0, 2)
+    c = np.empty((T, H))
+    tc = np.empty((T, H))
+    h = np.empty((T, H))
+    h_prev = np.zeros(H)
+    c_prev = np.zeros(H)
+    for t in range(T):
+        a = gx[t] + wh @ h_prev
+        expit(a[: 3 * H], out=gates[t, : 3 * H])
+        np.tanh(a[3 * H :], out=gates[t, 3 * H :])
+        c[t] = f[t] * c_prev + i[t] * g[t]
+        tc[t] = np.tanh(c[t])
+        h[t] = o[t] * tc[t]
+        h_prev = h[t]
+        c_prev = c[t]
+    return h, (x, gates, c, tc, h)
+
+
+TAPE_FIELDS = ("inputs", "gates", "cell", "tanh_cell", "hidden")
+
+
+def _close(got, want, rel=1e-12):
+    return np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+class TestPackedLayout:
+    def test_batch_sizes(self):
+        np.testing.assert_array_equal(batch_sizes_of([4, 2, 2, 1]), [4, 3, 1, 1])
+        np.testing.assert_array_equal(batch_sizes_of([3]), [1, 1, 1])
+
+    @pytest.mark.parametrize("lengths", [[1, 3], [], [2, -1]])
+    def test_batch_sizes_need_decreasing_counts(self, lengths):
+        with pytest.raises(ValueError):
+            batch_sizes_of(lengths)
+
+    def test_pack_is_time_major_and_unpack_inverts_it(self):
+        seqs = [np.arange(3) + 10, np.arange(2) + 20, np.arange(1) + 30]
+        packed, lengths = pack(seqs)
+        np.testing.assert_array_equal(packed, [10, 20, 30, 11, 21, 12])
+        np.testing.assert_array_equal(lengths, [3, 2, 1])
+        for got, want in zip(unpack(packed, lengths), seqs):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestPackedLSTMForward:
+    @pytest.mark.parametrize("T", [1, 2, 7, 400])
+    def test_one_utterance_is_bit_identical_to_the_loop(self, T):
+        rng = np.random.default_rng(T)
+        layer = LSTMLayer(LSTMLayer.random(5, 6, rng).w * 3.0, rng.normal(size=24))
+        x = rng.normal(size=(T, 5))
+        h, tape = lstm_forward(layer, x)
+        want_h, want_tape = _reference_lstm_forward(layer, x)
+        assert np.array_equal(h, want_h)
+        for name, want in zip(TAPE_FIELDS, want_tape):
+            assert np.array_equal(getattr(tape, name), want), name
+        # explicit batch sizes of one are the same call
+        h1, _ = lstm_forward(layer, x, np.ones(T, dtype=int))
+        assert np.array_equal(h1, want_h)
+
+    @pytest.mark.parametrize("lengths, scale", [
+        ([6, 6, 6], 1.0),               # equal lengths
+        ([9, 4, 1, 1], 1.0),            # length-1 utterances
+        ([120] + [3] * 12, 1.0),        # one long utterance, many short
+        ([40, 33, 33, 17, 2], 10.0),    # weights x10: saturated gates
+    ])
+    def test_batch_matches_each_utterance(self, lengths, scale):
+        rng = np.random.default_rng(len(lengths))
+        layer = LSTMLayer(LSTMLayer.random(5, 6, rng).w * scale, rng.normal(size=24))
+        seqs = [rng.normal(scale=scale, size=(n, 5)) for n in lengths]
+        packed, lens = pack(seqs)
+        h, tape = lstm_forward(layer, packed, batch_sizes_of(lens))
+        per_field = {name: unpack(getattr(tape, name), lens) for name in TAPE_FIELDS}
+        for k, seq in enumerate(seqs):
+            want_h, want_tape = _reference_lstm_forward(layer, seq)
+            assert _close(unpack(h, lens)[k], want_h)
+            for name, want in zip(TAPE_FIELDS, want_tape):
+                assert _close(per_field[name][k], want), name
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [1, 2], [2, 0, 1], [4]])
+    def test_bad_batch_sizes(self, sizes):
+        layer = LSTMLayer.random(2, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            lstm_forward(layer, np.zeros((3, 2)), sizes)
 
 
 def fd_check(param, grad, loss_fn, eps=1e-6, floor=1e-2):
@@ -239,6 +346,29 @@ class TestNetworkForward:
             lattice, _ = network_forward(net, np.zeros((n, 4)))
             assert lattice.shape[0] == (n // 2) // 2
 
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_batch_matches_each_utterance(self, factor):
+        net = Network.random(4, [6] * 3, VOCAB, "word-ctc",
+                             downsample=downsample_schedule(factor, 3), seed=factor)
+        rng = np.random.default_rng(factor)
+        lengths = [37, 31, 31, 19, 9, 8]  # odd lengths, and 8 is the shortest at factor 8
+        seqs = [rng.normal(size=(n, 4)) for n in lengths]
+        lattice, tape = network_forward(net, *pack(seqs))
+        np.testing.assert_array_equal(tape.lengths, np.array(lengths) // factor)
+        for got, seq in zip(unpack(lattice, tape.lengths), seqs):
+            want, _ = network_forward(net, seq)
+            assert got.shape == want.shape
+            assert _close(got, want)
+
+    def test_batch_lengths_checked(self):
+        net = tiny_net(downsample=(0, 1))
+        with pytest.raises(ValueError):
+            network_forward(net, np.zeros((9, 4)), [5, 5])
+        with pytest.raises(SequenceTooShortError):
+            network_forward(net, np.zeros((9, 4)), [8, 1])
+        with pytest.raises(SequenceTooShortError):
+            network_forward(net, np.zeros((9, 4)), [9, 0])
+
 
 class TestNetworkBackward:
     def test_full_gradient_check(self):
@@ -270,6 +400,13 @@ class TestNetworkBackward:
         np.testing.assert_array_equal(d_x[3], 0.0)
         np.testing.assert_array_equal(d_x[4], 0.0)
         assert np.any(d_x[0]) and np.any(d_x[2])
+
+    def test_batch_tape_rejected(self):
+        rng = np.random.default_rng(7)
+        net = tiny_net()
+        lattice, tape = network_forward(net, *pack([rng.normal(size=(6, 4))] * 2))
+        with pytest.raises(ValueError, match="one utterance"):
+            network_backward(net, tape, np.zeros_like(lattice))
 
     def test_stale_tape_rejected(self):
         rng = np.random.default_rng(7)

@@ -1,15 +1,22 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wordctc.ctc import Vocabulary
+from wordctc import training
+from wordctc.ctc import Vocabulary, ctc_log_likelihood, greedy_decode
 from wordctc.data import SIL, Lexicon, SynthConfig, Utterance, generate_synthetic
-from wordctc.network import Network, downsample_schedule, network_forward
+from wordctc.metrics import edit_distance, error_rate, frame_errors, pool
+from wordctc.network import Network, SequenceTooShortError, downsample_schedule, network_forward
 from wordctc.numerics import global_norm
 from wordctc.training import (
     EpochRecord,
     TrainConfig,
     TrainingError,
+    classifier_frame_predictions,
     convert_transcripts_to_phonemes,
+    decode_utterances,
     evaluate,
     format_train_log,
     frame_loss_and_gradient,
@@ -159,8 +166,6 @@ class TestSkipping:
 
 class TestPerplexity:
     def test_matches_direct_computation(self, corpus, word_vocab):
-        from wordctc.ctc import ctc_log_likelihood
-
         model = small_model(word_vocab, factor=1)
         total, labels = 0.0, 0
         for u in corpus.train:
@@ -177,6 +182,110 @@ class TestPerplexity:
         net.w_out[...] = 0.0
         net.b_out[...] = np.array([40.0, -40.0])
         assert training_perplexity(net, [utt]) == pytest.approx(0.0, abs=1e-12)
+
+
+def decode_one(model, features):
+    """Per-utterance oracle for decode_utterances: one unbatched forward
+    pass, () when the utterance is too short for the down-sampling."""
+    try:
+        lattice, _ = network_forward(model, features)
+    except SequenceTooShortError:
+        return ()
+    if model.mode == "frame-classifier":
+        return tuple(classifier_frame_predictions(model, lattice))
+    return tuple(greedy_decode(lattice))
+
+
+def emitting_model(vocab, mode="word-ctc", factor=4):
+    """A random model with a sharpened head, so that greedy decoding emits
+    many labels and a batching mix-up would change the hypotheses."""
+    model = small_model(vocab, mode=mode, factor=factor, layers=3, hidden=8)
+    model.w_out *= 200.0
+    return model
+
+
+class TestDecodeUtterances:
+    def test_input_order_and_per_utterance_oracle(self, corpus, word_vocab):
+        model = emitting_model(word_vocab)
+        utts = corpus.dev + corpus.train
+        feats = [u.features for u in utts]
+        hyps = decode_utterances(model, feats)
+        want = [decode_one(model, f) for f in feats]
+        assert [tuple(h) for h in hyps] == want
+        assert len(set(want)) > 3  # a mix-up of utterances would show
+
+    def test_too_short_utterances_are_full_deletions(self, word_vocab):
+        model = emitting_model(word_vocab)  # factor 4: 4 frames are the fewest it can halve
+        rng = np.random.default_rng(0)
+        words = tuple(word_vocab.labels[:2])
+        utts = [Utterance("u%d" % n, rng.normal(size=(n, 4)), words) for n in (0, 3, 4, 30)]
+        hyps = decode_utterances(model, [u.features for u in utts])
+        assert [tuple(h) for h in hyps] == [(), (), decode_one(model, utts[2].features),
+                                            decode_one(model, utts[3].features)]
+        assert evaluate(model, utts[:2]) == 100.0
+        target = [word_vocab.encode(u.transcript) for u in utts]
+        want = error_rate(pool(edit_distance(t, h) for t, h in zip(target, hyps)))
+        assert evaluate(model, utts) == want
+        assert training_perplexity(model, utts) == math.inf
+
+    def test_batches_stay_within_the_byte_budget(self, corpus, word_vocab, monkeypatch):
+        model = emitting_model(word_vocab)
+        feats = [u.features for u in corpus.train]
+        want = [decode_one(model, f) for f in feats]
+        calls = []
+        real = training.network_forward
+
+        def spy(net, features, lengths=None):
+            calls.append(list(lengths))
+            return real(net, features, lengths)
+
+        monkeypatch.setattr(training, "network_forward", spy)
+        # the default budget holds this whole split: one batch, longest first
+        assert [tuple(h) for h in decode_utterances(model, feats)] == want
+        assert calls == [sorted((len(f) for f in feats), reverse=True)]
+        # an utterance whose tape alone is over the budget runs alone
+        calls.clear()
+        monkeypatch.setattr(training, "MAX_BATCH_BYTES", 1)
+        assert [tuple(h) for h in decode_utterances(model, feats)] == want
+        assert [len(c) for c in calls] == [1] * len(feats)
+
+    def test_frame_classifier(self, corpus):
+        vocab = Vocabulary(tuple(sorted(corpus.lexicon.words)), reserved=SIL)
+        model = emitting_model(vocab, mode="frame-classifier", factor=1)
+        feats = [u.features for u in corpus.dev + corpus.train]
+        hyps = decode_utterances(model, feats)
+        assert [tuple(h) for h in hyps] == [decode_one(model, f) for f in feats]
+        prepared = training._prepare(corpus.dev, model)
+        want = error_rate(pool(frame_errors(t, decode_one(model, f)) for _, f, t in prepared))
+        assert evaluate(model, corpus.dev) == want
+
+    def test_evaluate_and_perplexity_match_per_utterance_values(self, corpus, word_vocab):
+        model = emitting_model(word_vocab)
+        utts = corpus.dev + corpus.train
+        targets = [word_vocab.encode(u.transcript) for u in utts]
+        want = error_rate(pool(edit_distance(t, decode_one(model, u.features))
+                               for t, u in zip(targets, utts)))
+        assert evaluate(model, utts) == want
+        total = sum(-ctc_log_likelihood(network_forward(model, u.features)[0], t)
+                    for t, u in zip(targets, utts))
+        labels = sum(len(t) for t in targets)
+        assert training_perplexity(model, utts) == pytest.approx(total / labels, rel=1e-12)
+
+    def test_peak_memory_stays_near_the_budget(self):
+        # the paper's 3x48 model at factor 4 on 40 utterances of 300 frames:
+        # about 60 MB of tapes if they were all kept at once
+        vocab = Vocabulary(tuple("abcdefgh"))
+        model = Network.random(8, [48] * 3, vocab, "word-ctc",
+                               downsample=downsample_schedule(4, 3), seed=0)
+        rng = np.random.default_rng(0)
+        feats = [rng.normal(size=(300, 8)) for _ in range(40)]
+        tracemalloc.start()
+        try:
+            decode_utterances(model, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * training.MAX_BATCH_BYTES
 
 
 class TestPhonemeConversion:
