@@ -64,19 +64,17 @@ from .network import (
     NetworkFormatError,
     SequenceTooShortError,
     StaleTapeError,
-    batch_sizes_of,
     downsample,
     downsample_schedule,
+    forward_batches,
     load_network,
     lstm_backward,
     lstm_forward,
     network_backward,
     network_forward,
-    pack,
     save_network,
     sgd_update,
     transfer_bottom_layers,
-    unpack,
 )
 from .numerics import clip_global_norm, global_norm, log_softmax
 from .training import (

@@ -38,6 +38,8 @@ class Vocabulary:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        if not all(isinstance(w, str) for w in (*self.labels, self.reserved)):
+            raise ValueError("labels and the reserved symbol must be strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels in vocabulary")
         if self.reserved in self.labels:

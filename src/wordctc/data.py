@@ -343,6 +343,9 @@ class SynthCorpus:
 
 
 def _check_config(cfg):
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     if cfg.vocab_size < 1 or cfg.n_phonemes < 1 or cfg.feature_dim < 1:
         raise ValueError("vocabulary, phoneme inventory, and feature dim must be positive")
     if cfg.phoneme_duration_mean <= 0 or cfg.phoneme_duration_std < 0:

@@ -23,6 +23,8 @@ MODES = ("word-ctc", "phoneme-ctc", "frame-classifier")
 MAGIC = b"WNET"
 FORMAT_VERSION = 1
 
+MAX_BATCH_BYTES = 4 * 2**20  # layer tapes of one forward_batches batch
+
 
 class StaleTapeError(RuntimeError):
     """Tape no longer matches the network's parameters."""
@@ -36,27 +38,24 @@ class NetworkFormatError(DataFormatError):
     """Malformed network checkpoint file."""
 
 
-def batch_sizes_of(lengths):
+def _batch_sizes(lengths, n_rows):
     """Rows per time step of the packed layout of sequences whose lengths
-    are `lengths`, in decreasing order: step t holds one row for each
-    sequence longer than t."""
+    are `lengths`, in decreasing order and totalling `n_rows`: step t holds
+    one row for each sequence longer than t."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or not lengths.size or lengths[-1] < 0 or np.any(np.diff(lengths) > 0):
+    counts = lengths.tolist()
+    if lengths.ndim != 1 or not counts or counts[-1] < 0 or sorted(counts, reverse=True) != counts:
         raise ValueError("lengths must be a nonempty decreasing sequence of counts")
-    return len(lengths) - np.cumsum(np.bincount(lengths))[: lengths[0]]
+    if sum(counts) != n_rows:
+        raise ValueError("lengths sum to %d, but there are %d rows" % (sum(counts), n_rows))
+    return len(counts) - np.cumsum(np.bincount(lengths))[: counts[0]]
 
 
-def _packed_positions(lengths):
-    """Time step and sequence of each row of the packed layout."""
-    sizes = batch_sizes_of(lengths)
-    step = np.repeat(np.arange(len(sizes)), sizes)
-    seq = np.arange(len(step)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return step, seq
-
-
-def _source_rows(lengths):
+def _source_rows(lengths, n_rows):
     """Row of each packed row when the sequences are laid end to end."""
-    step, seq = _packed_positions(lengths)
+    sizes = _batch_sizes(lengths, n_rows)
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    seq = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return (np.cumsum(lengths) - lengths)[seq] + step
 
 
@@ -65,13 +64,13 @@ def pack(seqs):
     their lengths: step t's rows are the t-th row of every sequence longer
     than t, in the given order."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    return np.concatenate(seqs)[_source_rows(lengths)], lengths
+    return np.concatenate(seqs)[_source_rows(lengths, lengths.sum())], lengths
 
 
 def unpack(packed, lengths):
     """The sequences `pack` laid out, each a contiguous array."""
     rows = np.empty_like(packed)
-    rows[_source_rows(lengths)] = packed
+    rows[_source_rows(lengths, len(packed))] = packed
     return np.split(rows, np.cumsum(lengths)[:-1])
 
 
@@ -88,8 +87,11 @@ def downsample(seq, lengths=None):
     lengths = np.array([seq.shape[0]] if lengths is None else lengths, dtype=np.int64)
     if lengths.min() <= 1:
         raise SequenceTooShortError("cannot halve a %d-frame sequence" % lengths.min())
-    step, index = _packed_positions(lengths)
-    return seq[(step % 2 == 0) & (step + 1 < lengths[index])]
+    sizes = _batch_sizes(lengths, seq.shape[0])
+    # halved step t is the first kept[t] rows of step 2t, which the steps
+    # before it put evens[:t].sum() rows further on in `seq` than in the result
+    kept, evens = sizes[1::2], sizes[:-1:2]
+    return seq[np.arange(kept.sum()) + np.repeat(np.cumsum(evens) - evens, kept)]
 
 
 def downsample_schedule(factor, n_layers):
@@ -132,6 +134,8 @@ class LSTMLayer:
         if self.w.ndim != 2 or self.w.shape[0] % 4 or self.w.shape[1] <= self.w.shape[0] // 4:
             raise ValueError("weights must be (4 * hidden, input + hidden)")
         h = self.w.shape[0] // 4
+        if h < 1:
+            raise ValueError("an LSTM layer needs at least one hidden unit")
         if self.b.shape != (4 * h,):
             raise ValueError("bias must be (4 * hidden,)")
         self.hidden_dim = h
@@ -166,27 +170,22 @@ class LayerTape:
     hidden: np.ndarray
 
 
-def lstm_forward(layer, inputs, batch_sizes=None):
+def lstm_forward(layer, inputs, lengths=None):
     """Run the recurrence from zero initial state over packed sequences.
 
-    `inputs` is (N, input_dim) in the time-major layout of `pack`: step t's
-    rows are the next `batch_sizes[t]` rows, one per sequence still running,
-    longest sequence first.  The default is one sequence of N frames.  The
-    input projection of all rows is one product before the time loop, and
-    each step adds one recurrent product over the rows still running
-    (Appleyard et al., arXiv:1604.01946); the gates are computed in place in
-    the projection buffer.
+    `inputs` is (N, input_dim) in the time-major layout of `pack` of
+    sequences whose lengths are `lengths`: step t's rows are one per
+    sequence still running, longest first.  The default is one sequence of
+    N frames.  The input projection of all rows is one product before the
+    time loop, and each step adds one recurrent product over the rows still
+    running (Appleyard et al., arXiv:1604.01946); the gates are computed in
+    place in the projection buffer.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
         raise ValueError("expected (N, %d) inputs, got %r" % (layer.input_dim, x.shape))
     N = x.shape[0]
-    if batch_sizes is None:
-        sizes = [1] * N
-    else:
-        sizes = np.asarray(batch_sizes, dtype=np.int64).tolist()
-        if sum(sizes) != N or min(sizes, default=1) < 1 or sorted(sizes, reverse=True) != sizes:
-            raise ValueError("batch sizes must be positive, nonincreasing and sum to %d" % N)
+    sizes = [1] * N if lengths is None else _batch_sizes(lengths, N).tolist()
     H = layer.hidden_dim
     D = layer.input_dim
     wh = layer.w[:, D:]
@@ -397,8 +396,6 @@ def network_forward(net, features, lengths=None):
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError("expected (T, %d) features, got %r" % (net.input_dim, x.shape))
     lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.int64)
-    if lengths.sum() != x.shape[0]:
-        raise ValueError("lengths sum to %d, but there are %d frames" % (lengths.sum(), x.shape[0]))
     if not lengths.size or lengths.min() == 0:
         raise SequenceTooShortError("empty feature sequence")
     tapes = []
@@ -410,12 +407,47 @@ def network_forward(net, features, lengths=None):
             rows.append(h.shape[0])
             h = downsample(h, lengths)
             lengths = lengths // 2
-        h, tape = lstm_forward(layer, h, batch_sizes_of(lengths))
+        h, tape = lstm_forward(layer, h, lengths)
         tapes.append(tape)
         pre_lengths.append(rows)
     logits = h @ net.w_out.T + net.b_out
     lattice = log_softmax(logits)
     return lattice, ForwardTape(tapes, pre_lengths, h, net.version, lengths)
+
+
+def _tape_bytes(net, n_frames):
+    """Bytes of the layer tapes of one n_frames-frame utterance."""
+    total = 0
+    for layer, halvings in zip(net.layers, net.downsample):
+        n_frames >>= halvings
+        total += n_frames * (layer.input_dim + 7 * layer.hidden_dim) * 8
+    return total
+
+
+def forward_batches(net, features):
+    """(index, lattice) for every utterance in `features` that the network's
+    down-sampling can halve; shorter ones are skipped.
+
+    Utterances run longest first, in batches whose layer tapes stay within
+    MAX_BATCH_BYTES (an utterance over it runs alone), and each lattice is
+    yielded as soon as its batch is done.
+    """
+    shortest = max(1, 2 ** sum(net.downsample))
+    order = sorted((i for i, f in enumerate(features) if len(f) >= shortest),
+                   key=lambda i: -len(features[i]))
+    batches, used = [], np.inf
+    for i in order:
+        cost = _tape_bytes(net, len(features[i]))
+        if used + cost > MAX_BATCH_BYTES:
+            batches.append([])
+            used = 0
+        batches[-1].append(i)
+        used += cost
+    for batch in batches:
+        packed, lengths = pack([features[i] for i in batch])
+        # the tape is dropped here, so two batches' tapes are never alive at once
+        lattice = network_forward(net, packed, lengths)[0]
+        yield from zip(batch, unpack(lattice, lengths >> sum(net.downsample)))
 
 
 def network_backward(net, tape, d_logits):
@@ -524,8 +556,10 @@ def load_network(path):
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         vocab = Vocabulary(tuple(header["labels"]), header["reserved"])
-        hidden_dims = [int(h) for h in header["hidden_dims"]]
-        input_dim = int(header["input_dim"])
+        dims = [header["input_dim"], *header["hidden_dims"]]
+        if not all(type(d) is int for d in dims):
+            raise ValueError("dimensions must be integers, got %r" % (dims,))
+        input_dim, *hidden_dims = dims
         layers = []
         d = input_dim
         for h in hidden_dims:

@@ -17,17 +17,14 @@ from .data import Utterance
 from .metrics import edit_distance, error_rate, frame_errors, pool
 from .network import (
     SequenceTooShortError,
+    forward_batches,
     network_backward,
     network_forward,
-    pack,
     sgd_update,
-    unpack,
 )
 from .numerics import clip_global_norm
 
 log = logging.getLogger(__name__)
-
-MAX_BATCH_BYTES = 4 * 2**20  # layer tapes of one forward-only batch
 
 
 class TrainingError(RuntimeError):
@@ -46,14 +43,14 @@ class TrainConfig:
     mode: str = "word-ctc"
 
     def __post_init__(self):
-        if self.phase1_lr <= 0 or self.phase2_lr <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("phase1_lr", "phase2_lr", "clip_norm"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError("%s must be positive and finite, got %r" % (name, value))
         if not 0 < self.phase2_decay <= 1:
             raise ValueError("decay must be in (0, 1]")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if self.clip_norm <= 0:
-            raise ValueError("clip norm must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,41 +145,6 @@ def _utterance_pass(model, features, target):
     return loss, d_logits, n_labels, tape
 
 
-def _tape_bytes(model, n_frames):
-    """Bytes of the layer tapes of one n_frames-frame utterance."""
-    total = 0
-    for layer, halvings in zip(model.layers, model.downsample):
-        n_frames >>= halvings
-        total += n_frames * (layer.input_dim + 7 * layer.hidden_dim) * 8
-    return total
-
-
-def _lattices(model, features):
-    """(index, lattice) for every utterance in `features` that the model's
-    down-sampling can halve; shorter ones are skipped.
-
-    Utterances run longest first, in batches whose layer tapes stay within
-    MAX_BATCH_BYTES (an utterance over it runs alone), and each lattice is
-    yielded as soon as its batch is done.
-    """
-    shortest = max(1, 2 ** sum(model.downsample))
-    order = sorted((i for i, f in enumerate(features) if len(f) >= shortest),
-                   key=lambda i: -len(features[i]))
-    batches, used = [], math.inf
-    for i in order:
-        cost = _tape_bytes(model, len(features[i]))
-        if used + cost > MAX_BATCH_BYTES:
-            batches.append([])
-            used = 0
-        batches[-1].append(i)
-        used += cost
-    for batch in batches:
-        packed, lengths = pack([features[i] for i in batch])
-        # the tape is dropped here, so two batches' tapes are never alive at once
-        lattice = network_forward(model, packed, lengths)[0]
-        yield from zip(batch, unpack(lattice, lengths >> sum(model.downsample)))
-
-
 def decode_utterances(model, features):
     """Greedy output label ids for each utterance, in input order.
 
@@ -191,7 +153,7 @@ def decode_utterances(model, features):
     down-sampling, which scoring counts as a full deletion.
     """
     hyps = [()] * len(features)
-    for i, lattice in _lattices(model, features):
+    for i, lattice in forward_batches(model, features):
         if model.mode == "frame-classifier":
             hyps[i] = classifier_frame_predictions(model, lattice)
         else:
@@ -223,7 +185,7 @@ def training_perplexity(model, utterances):
     prepared = _prepare(utterances, model)
     losses = [math.inf] * len(prepared)
     counts = [len(target) for _, _, target in prepared]
-    for i, lattice in _lattices(model, [features for _, features, _ in prepared]):
+    for i, lattice in forward_batches(model, [features for _, features, _ in prepared]):
         target = prepared[i][2]
         if model.mode == "frame-classifier":
             losses[i], _, counts[i] = frame_loss_and_gradient(model, lattice, target)

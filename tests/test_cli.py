@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wordctc import cli
 from wordctc.cli import _Outputs, main
 from wordctc.ctc import Vocabulary, greedy_decode
 from wordctc.data import (
@@ -76,6 +77,16 @@ class TestSynth:
 
     def test_bad_config_value(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path / "x", "--vocab-size", "0") == 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--phoneme-duration-mean", "nan"), ("--phoneme-duration-std", "inf"),
+        ("--phoneme-duration-mean", "inf"), ("--noise-scale", "nan"),
+    ])
+    def test_non_finite_value_fails_fast(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run("synth", "--out-dir", out, *TINY_SYNTH, flag, value) == 4
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not list(out.iterdir())
 
 
 class TestTrain:
@@ -285,7 +296,8 @@ class TestDecodeAndScore:
         assert str(ref) in capsys.readouterr().err
         assert not (out / "report.tsv").exists()
 
-    @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead"])
+    @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead",
+                                        "int-labels", "float-dims", "zero-hidden"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         if damage == "half":
@@ -297,6 +309,12 @@ class TestDecodeAndScore:
                 del header["labels"]
             elif damage == "lookahead":
                 header["lookahead"] = 2
+            elif damage == "int-labels":
+                header["labels"] = list(range(len(header["labels"])))
+            elif damage == "float-dims":
+                header["hidden_dims"] = [float(h) for h in header["hidden_dims"]]
+            elif damage == "zero-hidden":
+                header["hidden_dims"] = [0] * len(header["hidden_dims"])
             else:
                 # the model halves its frame rate, which a frame classifier cannot
                 header["mode"] = "frame-classifier"
@@ -306,7 +324,10 @@ class TestDecodeAndScore:
         broken.write_bytes(blob)
         assert run("decode", "--model", broken, "--data", data_dir / "dev",
                    "--out-dir", tmp_path / "d") == 3
-        assert str(broken) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(broken) in err
+        reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit"}
+        assert reason.get(damage, "") in err, err
 
     def test_checkpoint_feature_dimension_mismatch(self, tmp_path, data_dir, model_dir, capsys):
         narrow = tmp_path / "narrow"
@@ -391,6 +412,19 @@ class TestTrainFailureModes:
             # the one message line, and no numpy warning ahead of it
             assert err.count("\n") == 1, err
             assert not [str(w.message) for w in recwarn]
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--phase1-lr", "nan"], "phase1_lr"), (["--phase2-lr", "nan"], "phase2_lr"),
+        (["--clip-norm", "nan"], "clip_norm"), (["--phase1-lr", "inf"], "phase1_lr"),
+        (["--layers", "1", "--hidden", "0"], "hidden unit"),
+    ], ids=["phase1-lr-nan", "phase2-lr-nan", "clip-norm-nan", "phase1-lr-inf", "hidden-0"])
+    def test_bad_value_rejected_before_training(self, tmp_path, data_dir, capsys, monkeypatch,
+                                                extra, message):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train() was called"))
+        out = tmp_path / "out"
+        assert run("train", "--data", data_dir, "--out-dir", out, *TINY_TRAIN, *extra) == 4
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
 
 
 def test_cleanup_removes_claimed_directory(tmp_path):

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from wordctc.ctc import Vocabulary, ctc_loss_and_gradient
@@ -11,7 +13,7 @@ from wordctc.network import (
     NetworkFormatError,
     SequenceTooShortError,
     StaleTapeError,
-    batch_sizes_of,
+    _batch_sizes,
     downsample,
     downsample_schedule,
     load_network,
@@ -166,13 +168,15 @@ def _close(got, want, rel=1e-12):
 
 class TestPackedLayout:
     def test_batch_sizes(self):
-        np.testing.assert_array_equal(batch_sizes_of([4, 2, 2, 1]), [4, 3, 1, 1])
-        np.testing.assert_array_equal(batch_sizes_of([3]), [1, 1, 1])
+        np.testing.assert_array_equal(_batch_sizes([4, 2, 2, 1], 9), [4, 3, 1, 1])
+        np.testing.assert_array_equal(_batch_sizes([3], 3), [1, 1, 1])
+        with pytest.raises(ValueError, match="sum to 3, but there are 4 rows"):
+            _batch_sizes([3], 4)
 
     @pytest.mark.parametrize("lengths", [[1, 3], [], [2, -1]])
     def test_batch_sizes_need_decreasing_counts(self, lengths):
         with pytest.raises(ValueError):
-            batch_sizes_of(lengths)
+            _batch_sizes(lengths, sum(lengths))
 
     def test_pack_is_time_major_and_unpack_inverts_it(self):
         seqs = [np.arange(3) + 10, np.arange(2) + 20, np.arange(1) + 30]
@@ -181,6 +185,21 @@ class TestPackedLayout:
         np.testing.assert_array_equal(lengths, [3, 2, 1])
         for got, want in zip(unpack(packed, lengths), seqs):
             np.testing.assert_array_equal(got, want)
+
+    @given(st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=8)
+           .map(lambda lengths: sorted(lengths, reverse=True)))
+    @example([9])
+    @example([6, 6, 6])
+    @example([3, 3, 2, 2])
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_and_halving(self, lengths):
+        seqs = [np.arange(n) + 100 * k for k, n in enumerate(lengths)]
+        packed, lens = pack(seqs)
+        for got, want in zip(unpack(packed, lens), seqs):
+            np.testing.assert_array_equal(got, want)
+        halved = unpack(downsample(packed, lens), lens // 2)
+        for got, seq in zip(halved, seqs):
+            np.testing.assert_array_equal(got, downsample(seq))
 
 
 class TestPackedLSTMForward:
@@ -194,8 +213,8 @@ class TestPackedLSTMForward:
         assert np.array_equal(h, want_h)
         for name, want in zip(TAPE_FIELDS, want_tape):
             assert np.array_equal(getattr(tape, name), want), name
-        # explicit batch sizes of one are the same call
-        h1, _ = lstm_forward(layer, x, np.ones(T, dtype=int))
+        # explicit lengths of one sequence are the same call
+        h1, _ = lstm_forward(layer, x, [T])
         assert np.array_equal(h1, want_h)
 
     @pytest.mark.parametrize("lengths, scale", [
@@ -209,7 +228,7 @@ class TestPackedLSTMForward:
         layer = LSTMLayer(LSTMLayer.random(5, 6, rng).w * scale, rng.normal(size=24))
         seqs = [rng.normal(scale=scale, size=(n, 5)) for n in lengths]
         packed, lens = pack(seqs)
-        h, tape = lstm_forward(layer, packed, batch_sizes_of(lens))
+        h, tape = lstm_forward(layer, packed, lens)
         per_field = {name: unpack(getattr(tape, name), lens) for name in TAPE_FIELDS}
         for k, seq in enumerate(seqs):
             want_h, want_tape = _reference_lstm_forward(layer, seq)
@@ -217,7 +236,8 @@ class TestPackedLSTMForward:
             for name, want in zip(TAPE_FIELDS, want_tape):
                 assert _close(per_field[name][k], want), name
 
-    @pytest.mark.parametrize("sizes", [[2, 2], [1, 2], [2, 0, 1], [4]])
+    # lengths that do not describe three rows in decreasing order
+    @pytest.mark.parametrize("sizes", [[2, 2], [1, 2], [2, 0, 1], [4], [4, -1]])
     def test_bad_batch_sizes(self, sizes):
         layer = LSTMLayer.random(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):

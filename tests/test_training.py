@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wordctc import training
+from wordctc import network, training
 from wordctc.ctc import Vocabulary, ctc_log_likelihood, greedy_decode
 from wordctc.data import SIL, Lexicon, SynthConfig, Utterance, generate_synthetic
 from wordctc.metrics import edit_distance, error_rate, frame_errors, pool
@@ -233,19 +233,19 @@ class TestDecodeUtterances:
         feats = [u.features for u in corpus.train]
         want = [decode_one(model, f) for f in feats]
         calls = []
-        real = training.network_forward
+        real = network.network_forward
 
         def spy(net, features, lengths=None):
             calls.append(list(lengths))
             return real(net, features, lengths)
 
-        monkeypatch.setattr(training, "network_forward", spy)
+        monkeypatch.setattr(network, "network_forward", spy)
         # the default budget holds this whole split: one batch, longest first
         assert [tuple(h) for h in decode_utterances(model, feats)] == want
         assert calls == [sorted((len(f) for f in feats), reverse=True)]
         # an utterance whose tape alone is over the budget runs alone
         calls.clear()
-        monkeypatch.setattr(training, "MAX_BATCH_BYTES", 1)
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 1)
         assert [tuple(h) for h in decode_utterances(model, feats)] == want
         assert [len(c) for c in calls] == [1] * len(feats)
 
@@ -285,7 +285,7 @@ class TestDecodeUtterances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * training.MAX_BATCH_BYTES
+        assert peak < 2 * network.MAX_BATCH_BYTES
 
 
 class TestPhonemeConversion:
