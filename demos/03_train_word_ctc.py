@@ -28,17 +28,14 @@ for r in result.log:
           % (r.epoch, r.phase, r.lr, r.train_perplexity, r.dev_metric, r.skipped))
 print("\nbest dev WER %.2f%% at epoch %d" % (result.best_metric, result.best_epoch))
 
-# Score the held-out test split by hand with greedy decoding.
-stats = w.EditStats(0, 0, 0, 0)
-for utt in corpus.test:
-    lattice, _ = w.network_forward(result.model, utt.features)
-    hyp = vocab.decode(w.greedy_decode(lattice))
-    stats = stats + w.edit_distance(utt.transcript, hyp)
+# Score the held-out test split with greedy decoding, through the batched
+# inference path behind `wordctc decode`.
+hyps = [vocab.decode(h) for h in
+        w.decode_utterances(result.model, [utt.features for utt in corpus.test])]
+stats = w.pool(w.edit_distance(utt.transcript, hyp) for utt, hyp in zip(corpus.test, hyps))
 print("test WER %.2f%%  (S=%d D=%d I=%d over %d words)"
       % (w.error_rate(stats), stats.substitutions, stats.deletions,
          stats.insertions, stats.ref_len))
 
-example = corpus.test[0]
-lattice, _ = w.network_forward(result.model, example.features)
-print("\nreference :", " ".join(example.transcript))
-print("hypothesis:", " ".join(vocab.decode(w.greedy_decode(lattice))))
+print("\nreference :", " ".join(corpus.test[0].transcript))
+print("hypothesis:", " ".join(hyps[0]))

@@ -348,8 +348,11 @@ def _check_config(cfg):
             raise ValueError("%s must be finite, got %r" % (name, value))
     if cfg.vocab_size < 1 or cfg.n_phonemes < 1 or cfg.feature_dim < 1:
         raise ValueError("vocabulary, phoneme inventory, and feature dim must be positive")
-    if cfg.phoneme_duration_mean <= 0 or cfg.phoneme_duration_std < 0:
-        raise ValueError("durations must be positive")
+    if cfg.phoneme_duration_mean <= 0.5:
+        # _duration's window, symmetric about the mean, holds no draw above half a frame
+        raise ValueError("phoneme_duration_mean must exceed half a frame")
+    if cfg.phoneme_duration_std < 0:
+        raise ValueError("phoneme_duration_std must be nonnegative")
     if not 1 <= cfg.min_pronunciation <= cfg.max_pronunciation:
         raise ValueError("bad pronunciation length range")
     if not 1 <= cfg.min_words <= cfg.max_words:
@@ -371,14 +374,13 @@ def _check_config(cfg):
 
 def _duration(rng, mean, std):
     # symmetric rejection window keeps the sample mean at the configured
-    # mean; truncating only from below would bias it upward
+    # mean; truncating only from below would bias it upward.  Draws above
+    # half a frame round to at least one frame.
     lo = 0.5
     hi = 2.0 * mean - 0.5
-    if hi <= lo:
-        hi = math.inf
     while True:
         x = rng.normal(mean, std)
-        if lo <= x <= hi:
+        if lo < x <= hi:
             return int(round(x))
 
 

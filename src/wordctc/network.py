@@ -113,6 +113,15 @@ def downsample_schedule(factor, n_layers):
     return tuple(counts)
 
 
+def _ints(what, values):
+    """`values` as a tuple, when every one is an int; a bool or a float that
+    happens to be whole is refused rather than coerced."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise ValueError("expected integers for %s, got %r" % (what, values))
+    return values
+
+
 def _per_gate(w, b):
     """Views of stacked (4H, .) weights and (4H,) bias, one per gate and in
     checkpoint order: w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g."""
@@ -283,7 +292,7 @@ class Network:
         layers = list(layers)
         if not layers:
             raise ValueError("need at least one LSTM layer")
-        downsample = tuple(int(c) for c in downsample)
+        downsample = _ints("down-sampling counts", downsample)
         if len(downsample) != len(layers) or any(c < 0 for c in downsample):
             raise ValueError("down-sampling counts must be one nonnegative int per layer")
         if mode == "frame-classifier" and any(downsample):
@@ -346,11 +355,10 @@ class Network:
         weights last, so equal seeds give bit-identical parameters.
         """
         rng = np.random.default_rng(seed)
-        hidden_dims = [int(h) for h in hidden_dims]
+        d, *hidden_dims = _ints("dimensions", [input_dim, *hidden_dims])
         if downsample is None:
             downsample = (0,) * len(hidden_dims)
         layers = []
-        d = input_dim
         for h in hidden_dims:
             layers.append(LSTMLayer.random(d, h, rng))
             d = h
@@ -362,25 +370,17 @@ class Network:
 @dataclass
 class ForwardTape:
     layer_tapes: list
-    pre_lengths: list  # per layer, the rows before each of its halvings
-    top_hidden: np.ndarray
+    input_rows: int  # rows of the features, before any halving
     version: int
     lengths: np.ndarray  # lattice rows of each utterance
 
 
 @dataclass
 class NetworkGradients:
-    layers: list
-    w_out: np.ndarray
-    b_out: np.ndarray
+    grads: list  # one array per parameter, in the order of `Network.params()`
 
     def arrays(self):
-        out = []
-        for g in self.layers:
-            out.extend(g)
-        out.append(self.w_out)
-        out.append(self.b_out)
-        return out
+        return self.grads
 
 
 def network_forward(net, features, lengths=None):
@@ -399,20 +399,16 @@ def network_forward(net, features, lengths=None):
     if not lengths.size or lengths.min() == 0:
         raise SequenceTooShortError("empty feature sequence")
     tapes = []
-    pre_lengths = []
     h = x
     for layer, halvings in zip(net.layers, net.downsample):
-        rows = []
         for _ in range(halvings):
-            rows.append(h.shape[0])
             h = downsample(h, lengths)
             lengths = lengths // 2
         h, tape = lstm_forward(layer, h, lengths)
         tapes.append(tape)
-        pre_lengths.append(rows)
     logits = h @ net.w_out.T + net.b_out
     lattice = log_softmax(logits)
-    return lattice, ForwardTape(tapes, pre_lengths, h, net.version, lengths)
+    return lattice, ForwardTape(tapes, x.shape[0], net.version, lengths)
 
 
 def _tape_bytes(net, n_frames):
@@ -462,22 +458,24 @@ def network_backward(net, tape, d_logits):
     if len(tape.lengths) != 1:
         raise ValueError("backpropagation needs one utterance's tape, got %d" % len(tape.lengths))
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    expected = (tape.top_hidden.shape[0], net.vocab.size)
+    top = tape.layer_tapes[-1].hidden
+    expected = (top.shape[0], net.vocab.size)
     if d_logits.shape != expected:
         raise ValueError("expected %r output grads, got %r" % (expected, d_logits.shape))
-    d_w_out = d_logits.T @ tape.top_hidden
-    d_b_out = d_logits.sum(axis=0)
+    grads = [d_logits.T @ top, d_logits.sum(axis=0)]
     dh = d_logits @ net.w_out
-    layer_grads = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
-        d_in, grads = lstm_backward(net.layers[idx], tape.layer_tapes[idx], dh)
-        layer_grads[idx] = grads
-        for src_len in reversed(tape.pre_lengths[idx]):
-            wide = np.zeros((src_len, d_in.shape[1]))
-            wide[0 : 2 * (src_len // 2) : 2] = d_in
-            d_in = wide
+        d_in, layer_grads = lstm_backward(net.layers[idx], tape.layer_tapes[idx], dh)
+        grads[:0] = layer_grads  # top-down, so each layer goes in front
         dh = d_in
-    return NetworkGradients(layer_grads, d_w_out, d_b_out), dh
+        if net.downsample[idx]:
+            # k halvings kept rows 0, 2**k, 2 * 2**k, ... of the layer's input,
+            # the features or the outputs of the layer below; the rest get zeros
+            step = 2 ** net.downsample[idx]
+            rows = tape.layer_tapes[idx - 1].hidden.shape[0] if idx else tape.input_rows
+            dh = np.zeros((rows, d_in.shape[1]))
+            dh[: len(d_in) * step : step] = d_in
+    return NetworkGradients(grads), dh
 
 
 def sgd_update(net, grad_arrays, lr):
@@ -556,12 +554,8 @@ def load_network(path):
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         vocab = Vocabulary(tuple(header["labels"]), header["reserved"])
-        dims = [header["input_dim"], *header["hidden_dims"]]
-        if not all(type(d) is int for d in dims):
-            raise ValueError("dimensions must be integers, got %r" % (dims,))
-        input_dim, *hidden_dims = dims
+        d, *hidden_dims = _ints("dimensions", [header["input_dim"], *header["hidden_dims"]])
         layers = []
-        d = input_dim
         for h in hidden_dims:
             layers.append(LSTMLayer(np.zeros((4 * h, d + h)), np.zeros(4 * h)))
             d = h
@@ -573,7 +567,7 @@ def load_network(path):
             vocab,
             header["mode"],
         )
-        if header["lookahead"] != net.lookahead:
+        if _ints("lookahead", [header["lookahead"]]) != (net.lookahead,):
             raise ValueError("lookahead %r does not fit mode %r" % (header["lookahead"], net.mode))
     except KeyError as exc:
         raise NetworkFormatError("%s: header has no key %s" % (path, exc)) from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import InfeasibleTargetError, ctc_log_likelihood, ctc_loss_and_gradient, greedy_decode
+from .ctc import InfeasibleTargetError, ctc_loss_and_gradient, greedy_decode
 from .data import Utterance
 from .metrics import edit_distance, error_rate, frame_errors, pool
 from .network import (
@@ -135,14 +135,14 @@ def classifier_frame_predictions(net, lattice):
     return best[idx]
 
 
-def _utterance_pass(model, features, target):
-    lattice, tape = network_forward(model, features)
+def _loss(model, lattice, target):
+    """(loss, logit gradient, labels counted) of one lattice under the
+    model's mode: CTC counts target labels, the frame classifier scored
+    frames.  Raises InfeasibleTargetError when no CTC alignment fits."""
     if model.mode == "frame-classifier":
-        loss, d_logits, n_labels = frame_loss_and_gradient(model, lattice, target)
-    else:
-        loss, d_logits = ctc_loss_and_gradient(lattice, target)
-        n_labels = len(target)
-    return loss, d_logits, n_labels, tape
+        return frame_loss_and_gradient(model, lattice, target)
+    loss, d_logits = ctc_loss_and_gradient(lattice, target)
+    return loss, d_logits, len(target)
 
 
 def decode_utterances(model, features):
@@ -186,11 +186,10 @@ def training_perplexity(model, utterances):
     losses = [math.inf] * len(prepared)
     counts = [len(target) for _, _, target in prepared]
     for i, lattice in forward_batches(model, [features for _, features, _ in prepared]):
-        target = prepared[i][2]
-        if model.mode == "frame-classifier":
-            losses[i], _, counts[i] = frame_loss_and_gradient(model, lattice, target)
-        else:
-            losses[i] = -ctc_log_likelihood(lattice, target)
+        try:
+            losses[i], _, counts[i] = _loss(model, lattice, prepared[i][2])
+        except InfeasibleTargetError:
+            pass  # its loss stays +inf
     n_labels = sum(counts)
     if n_labels == 0:
         raise ValueError("no labels to normalize by")
@@ -239,7 +238,8 @@ def train(model, train_utterances, dev_utterances, cfg):
                 # checks, which name it; numpy's warnings would not
                 with np.errstate(all="ignore"):
                     try:
-                        loss, d_logits, n, tape = _utterance_pass(model, features, target)
+                        lattice, tape = network_forward(model, features)
+                        loss, d_logits, n = _loss(model, lattice, target)
                     except (InfeasibleTargetError, SequenceTooShortError) as exc:
                         skipped += 1
                         log.warning("epoch %d: skipping %s: %s", epoch, utt_id, exc)

@@ -88,6 +88,26 @@ class TestSynth:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("mean", ["0.3", "0.5"])
+    def test_duration_mean_at_most_half_a_frame(self, tmp_path, capsys, mean):
+        # no duration draw would round to a frame: 0.3 has no draw to accept
+        # at all, and 0.5 would write 0-frame phonemes
+        out = tmp_path / "out"
+        assert run("synth", "--out-dir", out, *TINY_SYNTH,
+                   "--phoneme-duration-mean", mean, "--phoneme-duration-std", "0") == 4
+        assert "phoneme_duration_mean" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_short_duration_mean_loads(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("synth", "--out-dir", out, *TINY_SYNTH,
+                   "--phoneme-duration-mean", "0.7", "--phoneme-duration-std", "0") == 0
+        lexicon = load_lexicon(out / "lexicon.tsv")
+        for split in ("train", "dev", "test"):
+            for u in load_corpus(out / split):
+                # one frame per phoneme, plus any one-frame silences
+                assert u.n_frames >= sum(len(lexicon.pronunciation(w)) for w in u.transcript)
+
 
 class TestTrain:
     def test_outputs(self, model_dir):
@@ -297,7 +317,8 @@ class TestDecodeAndScore:
         assert not (out / "report.tsv").exists()
 
     @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead",
-                                        "int-labels", "float-dims", "zero-hidden"])
+                                        "int-labels", "float-dims", "zero-hidden",
+                                        "float-downsample", "bool-downsample", "bool-lookahead"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         if damage == "half":
@@ -315,6 +336,12 @@ class TestDecodeAndScore:
                 header["hidden_dims"] = [float(h) for h in header["hidden_dims"]]
             elif damage == "zero-hidden":
                 header["hidden_dims"] = [0] * len(header["hidden_dims"])
+            elif damage == "float-downsample":
+                header["downsample"] = [float(c) for c in header["downsample"]]
+            elif damage == "bool-downsample":
+                header["downsample"] = [bool(c) for c in header["downsample"]]
+            elif damage == "bool-lookahead":
+                header["lookahead"] = bool(header["lookahead"])
             else:
                 # the model halves its frame rate, which a frame classifier cannot
                 header["mode"] = "frame-classifier"
@@ -326,7 +353,9 @@ class TestDecodeAndScore:
                    "--out-dir", tmp_path / "d") == 3
         err = capsys.readouterr().err
         assert str(broken) in err
-        reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit"}
+        reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit",
+                  "float-downsample": "integers", "bool-downsample": "integers",
+                  "bool-lookahead": "integers"}
         assert reason.get(damage, "") in err, err
 
     def test_checkpoint_feature_dimension_mismatch(self, tmp_path, data_dir, model_dir, capsys):

@@ -421,6 +421,30 @@ class TestNetworkBackward:
         np.testing.assert_array_equal(d_x[4], 0.0)
         assert np.any(d_x[0]) and np.any(d_x[2])
 
+    def test_two_halvings_in_front_of_one_layer(self):
+        # `train --downsample 16 --layers 3` halves twice before its bottom
+        # layer; 19 frames keep rows 0, 4, 8 and 12 for it, then 2 lattice rows
+        rng = np.random.default_rng(12)
+        net = tiny_net(seed=13, downsample=(2, 1), hidden=5)
+        x = rng.normal(size=(19, 4))
+        y = (1,)
+
+        def loss():
+            lattice, _ = network_forward(net, x)
+            return ctc_loss_and_gradient(lattice, y)[0]
+
+        lattice, tape = network_forward(net, x)
+        assert lattice.shape[0] == 2
+        _, d_logits = ctc_loss_and_gradient(lattice, y)
+        grads, d_x = network_backward(net, tape, d_logits)
+        for p, g in zip(net.params(), grads.arrays()):
+            assert fd_check(p, g, loss) < 1e-4
+        assert fd_check(x, d_x, loss) < 1e-4
+        np.testing.assert_array_equal(np.delete(d_x, [0, 4, 8, 12], axis=0), 0.0)
+        # the second halving drops the bottom layer's last output, so only
+        # frames 0, 4 and 8 reach the lattice
+        assert np.any(d_x[0]) and np.any(d_x[4]) and np.any(d_x[8])
+
     def test_batch_tape_rejected(self):
         rng = np.random.default_rng(7)
         net = tiny_net()
@@ -455,6 +479,15 @@ class TestInit:
         for p, q in zip(a.params(), b.params()):
             np.testing.assert_array_equal(p, q)
         assert not np.array_equal(a.layers[0].w_i, tiny_net(seed=10).layers[0].w_i)
+
+    @pytest.mark.parametrize("input_dim, hidden, downsample", [
+        (4, [6.7], None), (4, [6.0], None), (4, [True], None), (4.0, [6], None),
+        (4, [6], (1.0,)), (4, [6], ("1",)), (4, [6], (True,)),
+    ], ids=["float-hidden", "whole-float-hidden", "bool-hidden", "float-input",
+            "float-downsample", "str-downsample", "bool-downsample"])
+    def test_structural_integers_not_coerced(self, input_dim, hidden, downsample):
+        with pytest.raises(ValueError, match="integers"):
+            Network.random(input_dim, hidden, VOCAB, "word-ctc", downsample=downsample)
 
     def test_forget_bias_one(self):
         net = tiny_net()
