@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 from .ctc import collapse
 
@@ -342,6 +343,11 @@ class SynthCorpus:
         return {"train": self.train, "dev": self.dev, "test": self.test}
 
 
+# fewest of _duration's draws a config may accept: each phoneme takes
+# 1 / acceptance draws on average
+MIN_DURATION_ACCEPTANCE = 0.01
+
+
 def _check_config(cfg):
     for name, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -353,6 +359,15 @@ def _check_config(cfg):
         raise ValueError("phoneme_duration_mean must exceed half a frame")
     if cfg.phoneme_duration_std < 0:
         raise ValueError("phoneme_duration_std must be nonnegative")
+    if cfg.phoneme_duration_std > 0:
+        # share of _duration's normal draws that land in its window
+        accepted = 2 * ndtr((cfg.phoneme_duration_mean - 0.5) / cfg.phoneme_duration_std) - 1
+        if accepted < MIN_DURATION_ACCEPTANCE:
+            raise ValueError(
+                "phoneme_duration_mean %r is too close to half a frame for phoneme_duration_std"
+                " %r: only %.2g of duration draws would be accepted, under the floor of %g"
+                % (cfg.phoneme_duration_mean, cfg.phoneme_duration_std, accepted,
+                   MIN_DURATION_ACCEPTANCE))
     if not 1 <= cfg.min_pronunciation <= cfg.max_pronunciation:
         raise ValueError("bad pronunciation length range")
     if not 1 <= cfg.min_words <= cfg.max_words:

@@ -23,7 +23,8 @@ MODES = ("word-ctc", "phoneme-ctc", "frame-classifier")
 MAGIC = b"WNET"
 FORMAT_VERSION = 1
 
-MAX_BATCH_BYTES = 4 * 2**20  # layer tapes of one forward_batches batch
+# arrays a forward_batches batch holds live in its widest layer
+MAX_BATCH_BYTES = 4 * 2**20
 
 
 class StaleTapeError(RuntimeError):
@@ -188,7 +189,9 @@ def lstm_forward(layer, inputs, lengths=None):
     N frames.  The input projection of all rows is one product before the
     time loop, and each step adds one recurrent product over the rows still
     running (Appleyard et al., arXiv:1604.01946); the gates are computed in
-    place in the projection buffer.
+    place in the projection buffer.  A one-row step multiplies the weights
+    by the hidden vector; a step of several rows multiplies their hidden rows
+    by one contiguous transposed copy of the recurrent weights.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -198,6 +201,8 @@ def lstm_forward(layer, inputs, lengths=None):
     H = layer.hidden_dim
     D = layer.input_dim
     wh = layer.w[:, D:]
+    # only a batch of several sequences has steps of several rows to read it
+    whT = np.ascontiguousarray(wh.T) if N and sizes[0] > 1 else None
     gates = x @ layer.w[:, :D].T
     gates += layer.b
     i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
@@ -220,7 +225,7 @@ def lstm_forward(layer, inputs, lengths=None):
         np.multiply(o[r], tc[r], out=h[r])
     for r, p in zip(rows[1:], prev):
         a = gates[r]
-        a += (wh @ h[p].T).T
+        a += wh @ h[p] if isinstance(p, int) else h[p] @ whT
         a = sig[r]
         expit(a, out=a)
         a = cand[r]
@@ -369,7 +374,7 @@ class Network:
 
 @dataclass
 class ForwardTape:
-    layer_tapes: list
+    layer_tapes: list  # one per layer for one utterance; empty for a batch
     input_rows: int  # rows of the features, before any halving
     version: int
     lengths: np.ndarray  # lattice rows of each utterance
@@ -391,6 +396,10 @@ def network_forward(net, features, lengths=None):
     utterance is halved on its own, so under m total halvings it gets
     floor(T / 2**m) lattice rows, packed like the features; every row
     exponentiates to a distribution.
+
+    Only one utterance's tape keeps its layer tapes, since only it can be
+    backpropagated; a batch drops each layer's tape as soon as the layer
+    is done, so it holds one layer's arrays at a time.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -398,6 +407,7 @@ def network_forward(net, features, lengths=None):
     lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.int64)
     if not lengths.size or lengths.min() == 0:
         raise SequenceTooShortError("empty feature sequence")
+    keep = len(lengths) == 1
     tapes = []
     h = x
     for layer, halvings in zip(net.layers, net.downsample):
@@ -405,35 +415,38 @@ def network_forward(net, features, lengths=None):
             h = downsample(h, lengths)
             lengths = lengths // 2
         h, tape = lstm_forward(layer, h, lengths)
-        tapes.append(tape)
+        if keep:
+            tapes.append(tape)
+        del tape  # a batch's layer arrays go before the next layer starts
     logits = h @ net.w_out.T + net.b_out
     lattice = log_softmax(logits)
     return lattice, ForwardTape(tapes, x.shape[0], net.version, lengths)
 
 
-def _tape_bytes(net, n_frames):
-    """Bytes of the layer tapes of one n_frames-frame utterance."""
-    total = 0
+def _widest_layer_bytes(net, n_frames):
+    """Bytes one n_frames-frame utterance holds live in its widest layer:
+    that layer's input, gates, cell, tanh-cell and hidden rows."""
+    widest = 0
     for layer, halvings in zip(net.layers, net.downsample):
         n_frames >>= halvings
-        total += n_frames * (layer.input_dim + 7 * layer.hidden_dim) * 8
-    return total
+        widest = max(widest, n_frames * (layer.input_dim + 7 * layer.hidden_dim) * 8)
+    return widest
 
 
 def forward_batches(net, features):
     """(index, lattice) for every utterance in `features` that the network's
     down-sampling can halve; shorter ones are skipped.
 
-    Utterances run longest first, in batches whose layer tapes stay within
-    MAX_BATCH_BYTES (an utterance over it runs alone), and each lattice is
-    yielded as soon as its batch is done.
+    Utterances run longest first, in batches whose widest layer holds at
+    most MAX_BATCH_BYTES live (an utterance over it runs alone), and each
+    lattice is yielded as soon as its batch is done.
     """
     shortest = max(1, 2 ** sum(net.downsample))
     order = sorted((i for i, f in enumerate(features) if len(f) >= shortest),
                    key=lambda i: -len(features[i]))
     batches, used = [], np.inf
     for i in order:
-        cost = _tape_bytes(net, len(features[i]))
+        cost = _widest_layer_bytes(net, len(features[i]))
         if used + cost > MAX_BATCH_BYTES:
             batches.append([])
             used = 0
@@ -441,7 +454,6 @@ def forward_batches(net, features):
         used += cost
     for batch in batches:
         packed, lengths = pack([features[i] for i in batch])
-        # the tape is dropped here, so two batches' tapes are never alive at once
         lattice = network_forward(net, packed, lengths)[0]
         yield from zip(batch, unpack(lattice, lengths >> sum(net.downsample)))
 

@@ -98,6 +98,18 @@ class TestSynth:
         assert "phoneme_duration_mean" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("mean, std", [("0.5001", "4.67"), ("0.51", "4.67")])
+    def test_duration_window_too_narrow_for_std(self, tmp_path, capsys, mean, std):
+        # under 1% of the draws land in (0.5, 2 * mean - 0.5]: about 1 in
+        # 60,000 at mean 0.5001, where synth outran a 20 s timeout, and 1 in 600
+        # at 0.51
+        out = tmp_path / "out"
+        assert run("synth", "--out-dir", out, *TINY_SYNTH,
+                   "--phoneme-duration-mean", mean, "--phoneme-duration-std", std) == 4
+        err = capsys.readouterr().err
+        assert "phoneme_duration_mean" in err and "phoneme_duration_std" in err
+        assert not list(out.iterdir())
+
     def test_short_duration_mean_loads(self, tmp_path):
         out = tmp_path / "out"
         assert run("synth", "--out-dir", out, *TINY_SYNTH,

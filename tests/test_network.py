@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from wordctc import network
 from wordctc.ctc import Vocabulary, ctc_loss_and_gradient
 from wordctc.network import (
     LSTMLayer,
@@ -16,6 +17,7 @@ from wordctc.network import (
     _batch_sizes,
     downsample,
     downsample_schedule,
+    forward_batches,
     load_network,
     lstm_backward,
     lstm_forward,
@@ -380,6 +382,28 @@ class TestNetworkForward:
             assert got.shape == want.shape
             assert _close(got, want)
 
+    def test_batch_keeps_no_layer_tapes(self):
+        rng = np.random.default_rng(8)
+        net = tiny_net()
+        _, tape = network_forward(net, *pack([rng.normal(size=(9, 4)), rng.normal(size=(6, 4))]))
+        assert tape.layer_tapes == []
+        assert tape.version == net.version
+        np.testing.assert_array_equal(tape.lengths, [4, 3])
+
+    def test_one_utterance_keeps_every_layer_tape(self):
+        rng = np.random.default_rng(9)
+        net = tiny_net(downsample=(1, 1))
+        x = rng.normal(size=(13, 4))
+        _, tape = network_forward(net, x)
+        assert len(tape.layer_tapes) == len(net.layers)
+        h = x
+        for layer, halvings, got in zip(net.layers, net.downsample, tape.layer_tapes):
+            for _ in range(halvings):
+                h = downsample(h)
+            h, want = lstm_forward(layer, h)
+            for name in TAPE_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_batch_lengths_checked(self):
         net = tiny_net(downsample=(0, 1))
         with pytest.raises(ValueError):
@@ -388,6 +412,38 @@ class TestNetworkForward:
             network_forward(net, np.zeros((9, 4)), [8, 1])
         with pytest.raises(SequenceTooShortError):
             network_forward(net, np.zeros((9, 4)), [9, 0])
+
+
+class TestForwardBatches:
+    def test_budget_counts_the_widest_layer(self, monkeypatch):
+        net = Network.random(4, [6] * 3, VOCAB, "word-ctc",
+                             downsample=downsample_schedule(4, 3), seed=3)
+        rng = np.random.default_rng(10)
+        feats = [rng.normal(size=(40, 4)) for _ in range(5)]
+        want = [network_forward(net, f)[0] for f in feats]
+        # each utterance's layers hold (4 + 7 * 6) * 40, (6 + 7 * 6) * 20 and
+        # (6 + 7 * 6) * 10 floats: input, four gates, cell, tanh-cell, hidden
+        widest = (4 + 7 * 6) * 40 * 8
+        tapes = widest + (6 + 7 * 6) * (20 + 10) * 8
+        calls = []
+        real = network.network_forward
+
+        def spy(net, features, lengths=None):
+            calls.append(list(lengths))
+            return real(net, features, lengths)
+
+        monkeypatch.setattr(network, "network_forward", spy)
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 5 * widest)
+        assert 5 * tapes > network.MAX_BATCH_BYTES
+        got = dict(forward_batches(net, feats))
+        assert calls == [[40] * 5]
+        for i in range(len(feats)):
+            assert _close(got[i], want[i])
+        # a byte less and the last utterance runs on its own
+        calls.clear()
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 5 * widest - 1)
+        assert sorted(dict(forward_batches(net, feats))) == list(range(5))
+        assert calls == [[40] * 4, [40]]
 
 
 class TestNetworkBackward:
