@@ -1,12 +1,14 @@
 """Unidirectional LSTM stack with inter-layer frame down-sampling.
 
-Forward passes record a tape so the exact gradient can be backpropagated
-through time; frames dropped by down-sampling receive zero gradient.  All
+A forward pass over one utterance records a tape so the exact gradient can
+be backpropagated through time; frames dropped by down-sampling receive
+zero gradient.  A forward pass over a packed batch keeps no tape.  All
 parameters are float64 numpy arrays, and checkpoints round-trip bit for bit
 through the single-file format at the bottom of this module.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -23,7 +25,9 @@ MODES = ("word-ctc", "phoneme-ctc", "frame-classifier")
 MAGIC = b"WNET"
 FORMAT_VERSION = 1
 
-# arrays a forward_batches batch holds live in its widest layer
+# arrays a forward_batches batch holds live in its widest layer: the
+# features twice and that layer's input and hidden rows; lstm_forward's
+# gate block, an eighth of this, comes on top
 MAX_BATCH_BYTES = 4 * 2**20
 
 
@@ -180,18 +184,34 @@ class LayerTape:
     hidden: np.ndarray
 
 
-def lstm_forward(layer, inputs, lengths=None):
+def _step_index(start, rows):
+    """Index of `rows` rows from `start`: an int for one row, which keeps
+    that step on vector operations, else a slice."""
+    return start if rows == 1 else slice(start, start + rows)
+
+
+def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
     """Run the recurrence from zero initial state over packed sequences.
 
     `inputs` is (N, input_dim) in the time-major layout of `pack` of
     sequences whose lengths are `lengths`: step t's rows are one per
     sequence still running, longest first.  The default is one sequence of
-    N frames.  The input projection of all rows is one product before the
-    time loop, and each step adds one recurrent product over the rows still
-    running (Appleyard et al., arXiv:1604.01946); the gates are computed in
-    place in the projection buffer.  A one-row step multiplies the weights
-    by the hidden vector; a step of several rows multiplies their hidden rows
-    by one contiguous transposed copy of the recurrent weights.
+    N frames.  Returns the (N, hidden) outputs and the layer's tape, or
+    None for the tape when `keep_tape` is false.
+
+    Each step adds one recurrent product over the rows still running to
+    their input projection (Appleyard et al., arXiv:1604.01946) and updates
+    the gates and cell in place.  A one-row step multiplies the weights by
+    the hidden vector; a step of several rows multiplies their hidden rows
+    by one contiguous transposed copy of the recurrent weights.  With the
+    tape, the projection of all rows is one product before the time loop,
+    and the gates, cell and tanh-cell of every row are kept.  Without it,
+    the projection is made for one block of whole steps at a time, at most
+    MAX_BATCH_BYTES // 8 of gates (or the first step, if that is wider),
+    into one reused buffer; the cell lives in one row per sequence, since
+    each step's rows are a prefix of the step before's, and tanh(cell) is
+    written into the output rows.  Both run the same step arithmetic, and
+    the tests check that their outputs are bit-identical.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -200,40 +220,64 @@ def lstm_forward(layer, inputs, lengths=None):
     sizes = [1] * N if lengths is None else _batch_sizes(lengths, N).tolist()
     H = layer.hidden_dim
     D = layer.input_dim
+    wx = layer.w[:, :D].T
     wh = layer.w[:, D:]
+    T = len(sizes)
+    width = sizes[0] if N else 0
     # only a batch of several sequences has steps of several rows to read it
-    whT = np.ascontiguousarray(wh.T) if N and sizes[0] > 1 else None
-    gates = x @ layer.w[:, :D].T
-    gates += layer.b
+    whT = np.ascontiguousarray(wh.T) if width > 1 else None
+    h = np.empty((N, H))
+    tmp = np.empty((width, H))
+    if keep_tape:
+        block_rows = N
+        c = np.empty((N, H))
+        tc = np.empty((N, H))
+    else:
+        block_rows = max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
+        c = np.empty((width, H))
+        tc = h
+    gates = np.empty((min(N, block_rows), 4 * H))
     i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
     sig, cand = gates[:, : 3 * H], gates[:, 3 * H :]
-    c = np.empty((N, H))
-    tc = np.empty((N, H))
-    h = np.empty((N, H))
-    # an int index for a one-row step keeps that step on vector operations
     starts = np.cumsum([0] + sizes[:-1]).tolist()
-    rows = [s if b == 1 else slice(s, s + b) for s, b in zip(starts, sizes)]
-    prev = [s if b == 1 else slice(s, s + b) for s, b in zip(starts, sizes[1:])]
-    if N:  # step 0 has no recurrent input and no previous cell
-        r = rows[0]
-        a = sig[r]
-        expit(a, out=a)
-        a = cand[r]
-        np.tanh(a, out=a)
-        np.multiply(i[r], g[r], out=c[r])
-        np.tanh(c[r], out=tc[r])
-        np.multiply(o[r], tc[r], out=h[r])
-    for r, p in zip(rows[1:], prev):
-        a = gates[r]
-        a += wh @ h[p] if isinstance(p, int) else h[p] @ whT
-        a = sig[r]
-        expit(a, out=a)
-        a = cand[r]
-        np.tanh(a, out=a)
-        c[r] = f[r] * c[p] + i[r] * g[r]
-        np.tanh(c[r], out=tc[r])
-        np.multiply(o[r], tc[r], out=h[r])
-    return h, LayerTape(x, gates, c, tc, h)
+    # blocks of whole steps; base[t] is the first row of step t's block
+    firsts, base = [0] if T else [], [0] * T
+    for t in range(1, T):
+        if starts[t] + sizes[t] - starts[firsts[-1]] > block_rows:
+            firsts.append(t)
+        base[t] = starts[firsts[-1]]
+    rows = [_step_index(s, b) for s, b in zip(starts, sizes)]
+    prev = [None] + [_step_index(s, b) for s, b in zip(starts, sizes[1:])]
+    heads = [_step_index(0, b) for b in sizes]
+    gate_rows = [_step_index(s - lo, b) for s, lo, b in zip(starts, base, sizes)]
+    # the cell rows of each step and of the same sequences one step before
+    cell_rows, cell_prev = (rows, prev) if keep_tape else (heads, heads)
+    for first, stop in zip(firsts, firsts[1:] + [T]):
+        lo = starts[first]
+        n = starts[stop - 1] + sizes[stop - 1] - lo
+        np.matmul(x[lo : lo + n], wx, out=gates[:n])
+        gates[:n] += layer.b
+        for t in range(first, stop):
+            k, r, s = gate_rows[t], rows[t], heads[t]
+            if t:
+                a = gates[k]
+                p = prev[t]
+                a += wh @ h[p] if sizes[t] == 1 else h[p] @ whT
+            a = sig[k]
+            expit(a, out=a)
+            a = cand[k]
+            np.tanh(a, out=a)
+            cell = c[cell_rows[t]]
+            if t:
+                np.multiply(f[k], c[cell_prev[t]], out=cell)
+                np.multiply(i[k], g[k], out=tmp[s])
+                cell += tmp[s]
+            else:  # no previous cell
+                np.multiply(i[k], g[k], out=cell)
+            out = tc[r]
+            np.tanh(cell, out=out)
+            np.multiply(o[k], out, out=h[r])
+    return h, (LayerTape(x, gates, c, tc, h) if keep_tape else None)
 
 
 def lstm_backward(layer, tape, d_hidden):
@@ -398,8 +442,9 @@ def network_forward(net, features, lengths=None):
     exponentiates to a distribution.
 
     Only one utterance's tape keeps its layer tapes, since only it can be
-    backpropagated; a batch drops each layer's tape as soon as the layer
-    is done, so it holds one layer's arrays at a time.
+    backpropagated; a batch runs `lstm_forward` without a tape, so in each
+    layer it holds that layer's input and hidden rows, one block of gates
+    and one cell row per utterance.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -414,32 +459,36 @@ def network_forward(net, features, lengths=None):
         for _ in range(halvings):
             h = downsample(h, lengths)
             lengths = lengths // 2
-        h, tape = lstm_forward(layer, h, lengths)
+        h, tape = lstm_forward(layer, h, lengths, keep_tape=keep)
         if keep:
             tapes.append(tape)
-        del tape  # a batch's layer arrays go before the next layer starts
     logits = h @ net.w_out.T + net.b_out
     lattice = log_softmax(logits)
     return lattice, ForwardTape(tapes, x.shape[0], net.version, lengths)
 
 
 def _widest_layer_bytes(net, n_frames):
-    """Bytes one n_frames-frame utterance holds live in its widest layer:
-    that layer's input, gates, cell, tanh-cell and hidden rows."""
+    """Bytes one n_frames-frame utterance holds live in a batch's widest
+    layer, which keeps no tape: that layer's input and hidden rows, plus
+    the packed features and network_forward's float64 copy of them."""
+    features = 2 * n_frames * net.input_dim * 8
     widest = 0
     for layer, halvings in zip(net.layers, net.downsample):
         n_frames >>= halvings
-        widest = max(widest, n_frames * (layer.input_dim + 7 * layer.hidden_dim) * 8)
-    return widest
+        widest = max(widest, n_frames * (layer.input_dim + layer.hidden_dim) * 8)
+    return features + widest
 
 
 def forward_batches(net, features):
     """(index, lattice) for every utterance in `features` that the network's
     down-sampling can halve; shorter ones are skipped.
 
-    Utterances run longest first, in batches whose widest layer holds at
-    most MAX_BATCH_BYTES live (an utterance over it runs alone), and each
-    lattice is yielded as soon as its batch is done.
+    Utterances run longest first, in batches of at most MAX_BATCH_BYTES
+    (an utterance over it runs alone), and each lattice is yielded as soon
+    as its batch is done.  A batch keeps no tape, so an utterance is
+    charged its features twice, packed and as network_forward's float64
+    copy, plus the input and hidden rows of its widest layer; the gate
+    block lstm_forward reuses is a fixed MAX_BATCH_BYTES // 8 on top.
     """
     shortest = max(1, 2 ** sum(net.downsample))
     order = sorted((i for i, f in enumerate(features) if len(f) >= shortest),
@@ -563,38 +612,38 @@ def load_network(path):
         raise NetworkFormatError("%s: unsupported format version %d" % (path, version))
     if len(data) < 12 + header_len:
         raise NetworkFormatError("%s: header truncated at byte %d" % (path, len(data)))
+    offset = 12 + header_len
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         vocab = Vocabulary(tuple(header["labels"]), header["reserved"])
         d, *hidden_dims = _ints("dimensions", [header["input_dim"], *header["hidden_dims"]])
-        layers = []
+        if d < 1 or min(hidden_dims, default=1) < 1:
+            raise ValueError("dimensions %r must be positive; an LSTM layer needs at least "
+                             "one hidden unit" % ([d, *hidden_dims],))
+        shapes = []
         for h in hidden_dims:
-            layers.append(LSTMLayer(np.zeros((4 * h, d + h)), np.zeros(4 * h)))
+            shapes += [(4 * h, d + h), (4 * h,)]
             d = h
-        net = Network(
-            layers,
-            header["downsample"],
-            np.zeros((vocab.size, d)),
-            np.zeros(vocab.size),
-            vocab,
-            header["mode"],
-        )
+        shapes += [(vocab.size, d), (vocab.size,)]
+        # the header's dimensions are checked against the payload before
+        # anything of their size is allocated
+        counts = [math.prod(shape) for shape in shapes]
+        missing = offset + 8 * sum(counts) - len(data)
+        if missing > 0:
+            raise NetworkFormatError("%s: parameter block truncated at byte %d (need %d more)"
+                                     % (path, len(data), missing))
+        if missing < 0:
+            raise NetworkFormatError("%s: %d trailing bytes" % (path, -missing))
+        flat = np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64)
+        params = [p.reshape(shape) for p, shape in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)]
+        layers = [LSTMLayer(w, b) for w, b in zip(params[:-2:2], params[1:-2:2])]
+        net = Network(layers, header["downsample"], *params[-2:], vocab, header["mode"])
         if _ints("lookahead", [header["lookahead"]]) != (net.lookahead,):
             raise ValueError("lookahead %r does not fit mode %r" % (header["lookahead"], net.mode))
+    except NetworkFormatError:
+        raise
     except KeyError as exc:
         raise NetworkFormatError("%s: header has no key %s" % (path, exc)) from None
     except (TypeError, ValueError) as exc:
         raise NetworkFormatError("%s: bad header (%s)" % (path, exc)) from None
-    offset = 12 + header_len
-    for p in net.params():
-        nbytes = p.size * 8
-        if offset + nbytes > len(data):
-            raise NetworkFormatError(
-                "%s: parameter block truncated at byte %d (need %d more)"
-                % (path, len(data), offset + nbytes - len(data))
-            )
-        p[...] = np.frombuffer(data, dtype="<f8", count=p.size, offset=offset).reshape(p.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise NetworkFormatError("%s: %d trailing bytes" % (path, len(data) - offset))
     return net

@@ -329,7 +329,7 @@ class TestDecodeAndScore:
         assert not (out / "report.tsv").exists()
 
     @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead",
-                                        "int-labels", "float-dims", "zero-hidden",
+                                        "int-labels", "float-dims", "zero-hidden", "huge-hidden",
                                         "float-downsample", "bool-downsample", "bool-lookahead"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
@@ -348,6 +348,10 @@ class TestDecodeAndScore:
                 header["hidden_dims"] = [float(h) for h in header["hidden_dims"]]
             elif damage == "zero-hidden":
                 header["hidden_dims"] = [0] * len(header["hidden_dims"])
+            elif damage == "huge-hidden":
+                # far more parameters than could be allocated, and a 64-byte payload
+                header["hidden_dims"] = [200000] * len(header["hidden_dims"])
+                blob = blob[: 12 + header_len + 64]
             elif damage == "float-downsample":
                 header["downsample"] = [float(c) for c in header["downsample"]]
             elif damage == "bool-downsample":
@@ -366,6 +370,7 @@ class TestDecodeAndScore:
         err = capsys.readouterr().err
         assert str(broken) in err
         reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit",
+                  "huge-hidden": "truncated",
                   "float-downsample": "integers", "bool-downsample": "integers",
                   "bool-lookahead": "integers"}
         assert reason.get(damage, "") in err, err

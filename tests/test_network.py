@@ -238,6 +238,29 @@ class TestPackedLSTMForward:
             for name, want in zip(TAPE_FIELDS, want_tape):
                 assert _close(per_field[name][k], want), name
 
+    @pytest.mark.parametrize("block_rows", [5, 16])
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_tapeless_rows_equal_the_taped_kernel(self, monkeypatch, factor, block_rows):
+        # gate blocks of block_rows rows of a 6-unit layer, so every layer's
+        # steps fall in several blocks; 5 rows is narrower than the first step
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 8 * block_rows * 4 * 6 * 8)
+        net = Network.random(4, [6] * 3, VOCAB, "word-ctc",
+                             downsample=downsample_schedule(factor, 3), seed=factor)
+        rng = np.random.default_rng(factor)
+        # odd lengths, and the longest runs alone for its last steps
+        lengths = [53, 37, 31, 31, 19, 9]
+        h, lens = pack([rng.normal(size=(n, 4)) for n in lengths])
+        for layer, halvings in zip(net.layers, net.downsample):
+            for _ in range(halvings):
+                h = downsample(h, lens)
+                lens = lens // 2
+            assert len(h) > block_rows and lens[0] > lens[1]
+            taped, _ = lstm_forward(layer, h, lens)
+            tapeless, tape = lstm_forward(layer, h, lens, keep_tape=False)
+            assert tape is None
+            np.testing.assert_array_equal(tapeless, taped)
+            h = taped
+
     # lengths that do not describe three rows in decreasing order
     @pytest.mark.parametrize("sizes", [[2, 2], [1, 2], [2, 0, 1], [4], [4, -1]])
     def test_bad_batch_sizes(self, sizes):
@@ -421,10 +444,12 @@ class TestForwardBatches:
         rng = np.random.default_rng(10)
         feats = [rng.normal(size=(40, 4)) for _ in range(5)]
         want = [network_forward(net, f)[0] for f in feats]
-        # each utterance's layers hold (4 + 7 * 6) * 40, (6 + 7 * 6) * 20 and
-        # (6 + 7 * 6) * 10 floats: input, four gates, cell, tanh-cell, hidden
-        widest = (4 + 7 * 6) * 40 * 8
-        tapes = widest + (6 + 7 * 6) * (20 + 10) * 8
+        # each utterance's layers hold (4 + 6) * 40, (6 + 6) * 20 and
+        # (6 + 6) * 10 floats of input and hidden rows, and its 4 * 40
+        # features are held twice, packed and as network_forward's copy
+        charge = ((4 + 6) * 40 + 2 * 4 * 40) * 8
+        # the widest layer's gates, cell and tanh-cell rows are not charged
+        taped = (4 + 7 * 6) * 40 * 8
         calls = []
         real = network.network_forward
 
@@ -433,15 +458,15 @@ class TestForwardBatches:
             return real(net, features, lengths)
 
         monkeypatch.setattr(network, "network_forward", spy)
-        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 5 * widest)
-        assert 5 * tapes > network.MAX_BATCH_BYTES
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 5 * charge)
+        assert 5 * taped > network.MAX_BATCH_BYTES
         got = dict(forward_batches(net, feats))
         assert calls == [[40] * 5]
         for i in range(len(feats)):
             assert _close(got[i], want[i])
         # a byte less and the last utterance runs on its own
         calls.clear()
-        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 5 * widest - 1)
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 5 * charge - 1)
         assert sorted(dict(forward_batches(net, feats))) == list(range(5))
         assert calls == [[40] * 4, [40]]
 

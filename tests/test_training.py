@@ -287,6 +287,27 @@ class TestDecodeUtterances:
             tracemalloc.stop()
         assert peak < 2 * network.MAX_BATCH_BYTES
 
+    def test_long_utterances_share_few_batches(self, monkeypatch):
+        # the peak-memory case; when a batch was charged its widest layer's
+        # gates, cell and tanh-cell too, 300 * (8 + 7 * 48) * 8 bytes per
+        # utterance put 5 in a batch, so the 40 took 8 batches
+        vocab = Vocabulary(tuple("abcdefgh"))
+        model = Network.random(8, [48] * 3, vocab, "word-ctc",
+                               downsample=downsample_schedule(4, 3), seed=0)
+        rng = np.random.default_rng(0)
+        feats = [rng.normal(size=(300, 8)) for _ in range(40)]
+        calls = []
+        real = network.network_forward
+
+        def spy(net, features, lengths=None):
+            calls.append(len(lengths))
+            return real(net, features, lengths)
+
+        monkeypatch.setattr(network, "network_forward", spy)
+        decode_utterances(model, feats)
+        assert sum(calls) == 40
+        assert 3 * len(calls) <= 8
+
 
 class TestPhonemeConversion:
     def test_single_word(self):
