@@ -2,9 +2,9 @@
 
 A forward pass over one utterance records a tape so the exact gradient can
 be backpropagated through time; frames dropped by down-sampling receive
-zero gradient.  A forward pass over a packed batch keeps no tape.  All
-parameters are float64 numpy arrays, and checkpoints round-trip bit for bit
-through the single-file format at the bottom of this module.
+zero gradient.  A forward pass over a packed batch keeps no tape.  The
+parameters are one float64 vector, `Network.flat`, and checkpoints
+round-trip it bit for bit through the single-file format at the bottom.
 """
 
 import json
@@ -127,6 +127,12 @@ def _ints(what, values):
     return values
 
 
+def _views(flat, shapes):
+    """Views of consecutive runs of the vector `flat`, one of each shape."""
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+
+
 def _per_gate(w, b):
     """Views of stacked (4H, .) weights and (4H,) bias, one per gate and in
     checkpoint order: w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g."""
@@ -170,9 +176,6 @@ class LSTMLayer:
     def params(self):
         """The per-gate views of `w` and `b`, in checkpoint order."""
         return _per_gate(self.w, self.b)
-
-    def copy(self):
-        return LSTMLayer(self.w.copy(), self.b.copy())
 
 
 @dataclass
@@ -333,7 +336,9 @@ def lstm_backward(layer, tape, d_hidden):
 
 
 class Network:
-    """LSTM stack with a softmax head.  downsample[i] halvings run before layer i."""
+    """LSTM stack with a softmax head.  downsample[i] halvings run before layer i.
+    The layers' `w` and `b` and the head's `w_out` and `b_out` are views into one
+    new float64 vector, `flat`, in checkpoint order."""
 
     def __init__(self, layers, downsample, w_out, b_out, vocab, mode):
         if mode not in MODES:
@@ -349,16 +354,15 @@ class Network:
         for lo, hi in zip(layers, layers[1:]):
             if hi.input_dim != lo.hidden_dim:
                 raise ValueError("layer dimensions do not chain")
-        w_out = np.asarray(w_out, dtype=np.float64)
-        b_out = np.asarray(b_out, dtype=np.float64)
-        if w_out.shape != (vocab.size, layers[-1].hidden_dim):
+        if np.shape(w_out) != (vocab.size, layers[-1].hidden_dim):
             raise ValueError("output weights must be (%d, %d)" % (vocab.size, layers[-1].hidden_dim))
-        if b_out.shape != (vocab.size,):
+        if np.shape(b_out) != (vocab.size,):
             raise ValueError("output bias must be (%d,)" % vocab.size)
-        self.layers = layers
+        arrays = [a for l in layers for a in (l.w, l.b)] + [w_out, b_out]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        *stacked, self.w_out, self.b_out = _views(self.flat, [np.shape(a) for a in arrays])
+        self.layers = [LSTMLayer(w, b) for w, b in zip(stacked[::2], stacked[1::2])]
         self.downsample = downsample
-        self.w_out = w_out
-        self.b_out = b_out
         self.vocab = vocab
         self.mode = mode
         self.version = 0
@@ -378,22 +382,11 @@ class Network:
         return tuple(l.hidden_dim for l in self.layers)
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        out.append(self.w_out)
-        out.append(self.b_out)
-        return out
+        """Views of `flat`: each layer's per-gate blocks, then `w_out` and `b_out`."""
+        return [p for l in self.layers for p in l.params()] + [self.w_out, self.b_out]
 
     def copy(self):
-        return Network(
-            [l.copy() for l in self.layers],
-            self.downsample,
-            self.w_out.copy(),
-            self.b_out.copy(),
-            self.vocab,
-            self.mode,
-        )
+        return Network(self.layers, self.downsample, self.w_out, self.b_out, self.vocab, self.mode)
 
     @classmethod
     def random(cls, input_dim, hidden_dims, vocab, mode, downsample=None, seed=0):
@@ -418,18 +411,22 @@ class Network:
 
 @dataclass
 class ForwardTape:
-    layer_tapes: list  # one per layer for one utterance; empty for a batch
+    layer_tapes: list  # one per layer for one utterance; empty for a packed batch
     input_rows: int  # rows of the features, before any halving
     version: int
     lengths: np.ndarray  # lattice rows of each utterance
 
 
-@dataclass
 class NetworkGradients:
-    grads: list  # one array per parameter, in the order of `Network.params()`
+    """One gradient vector, `flat`, laid out like `Network.flat`; `arrays()`
+    gives its views, one per array of `Network.params()`."""
+
+    def __init__(self, arrays):
+        self.flat = np.concatenate([g.ravel() for g in arrays])
+        self.shapes = [g.shape for g in arrays]
 
     def arrays(self):
-        return self.grads
+        return _views(self.flat, self.shapes)
 
 
 def network_forward(net, features, lengths=None):
@@ -441,18 +438,18 @@ def network_forward(net, features, lengths=None):
     floor(T / 2**m) lattice rows, packed like the features; every row
     exponentiates to a distribution.
 
-    Only one utterance's tape keeps its layer tapes, since only it can be
-    backpropagated; a batch runs `lstm_forward` without a tape, so in each
-    layer it holds that layer's input and hidden rows, one block of gates
-    and one cell row per utterance.
+    Only a call without `lengths` keeps layer tapes, which backpropagation
+    needs; a packed batch, even of one utterance, runs `lstm_forward`
+    without a tape, so in each layer it holds that layer's input and hidden
+    rows, one block of gates and one cell row per utterance.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError("expected (T, %d) features, got %r" % (net.input_dim, x.shape))
-    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.int64)
+    keep = lengths is None
+    lengths = np.array([x.shape[0]] if keep else lengths, dtype=np.int64)
     if not lengths.size or lengths.min() == 0:
         raise SequenceTooShortError("empty feature sequence")
-    keep = len(lengths) == 1
     tapes = []
     h = x
     for layer, halvings in zip(net.layers, net.downsample):
@@ -516,8 +513,8 @@ def network_backward(net, tape, d_logits):
     """
     if tape.version != net.version:
         raise StaleTapeError("tape is stale; the network was updated after the forward pass")
-    if len(tape.lengths) != 1:
-        raise ValueError("backpropagation needs one utterance's tape, got %d" % len(tape.lengths))
+    if not tape.layer_tapes:
+        raise ValueError("backpropagation needs one utterance's tape, not a packed batch's")
     d_logits = np.asarray(d_logits, dtype=np.float64)
     top = tape.layer_tapes[-1].hidden
     expected = (top.shape[0], net.vocab.size)
@@ -539,14 +536,11 @@ def network_backward(net, tape, d_logits):
     return NetworkGradients(grads), dh
 
 
-def sgd_update(net, grad_arrays, lr):
-    """In-place SGD step over params in declaration order; invalidates tapes."""
-    params = net.params()
-    grad_arrays = list(grad_arrays)
-    if len(grad_arrays) != len(params):
-        raise ValueError("expected %d gradient arrays, got %d" % (len(params), len(grad_arrays)))
-    for p, g in zip(params, grad_arrays):
-        p -= lr * g
+def sgd_update(net, grad, lr):
+    """In-place `net.flat -= lr * grad` (a `NetworkGradients.flat`); invalidates tapes."""
+    if np.shape(grad) != net.flat.shape:
+        raise ValueError("expected a gradient of shape %r, got %r" % (net.flat.shape, np.shape(grad)))
+    net.flat -= lr * grad
     net.version += 1
 
 
@@ -568,7 +562,9 @@ def transfer_bottom_layers(src, dst, k):
                 % (i, src.layers[i].w.shape, dst.layers[i].w.shape)
             )
     out = dst.copy()
-    out.layers[:k] = [src.layers[i].copy() for i in range(k)]
+    for i in range(k):
+        out.layers[i].w[...] = src.layers[i].w
+        out.layers[i].b[...] = src.layers[i].b
     return out
 
 
@@ -577,11 +573,11 @@ def save_network(net, path):
 
     Layout: magic "WNET", u32 format version, u32 header length, a JSON
     structure header (mode, lookahead, dims, down-sampling counts, labels),
-    then every parameter as raw little-endian float64, row-major: per layer
-    the (4H, D+H) weights `w` (gates i, f, o, g, each with its input columns
+    then `net.flat` as raw little-endian float64: per layer the row-major
+    (4H, D+H) weights `w` (gates i, f, o, g, each with its input columns
     first) and the (4H,) bias `b`, then the softmax weights and bias.
     Round-trips are bit-exact.  load_network rejects a header whose
-    lookahead is not the one its mode fixes.
+    lookahead is not the one its mode fixes, and a non-finite parameter.
     """
     header = {
         "mode": net.mode,
@@ -597,8 +593,7 @@ def save_network(net, path):
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for p in net.params():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(net.flat.astype("<f8").tobytes())
 
 
 def load_network(path):
@@ -627,17 +622,20 @@ def load_network(path):
         shapes += [(vocab.size, d), (vocab.size,)]
         # the header's dimensions are checked against the payload before
         # anything of their size is allocated
-        counts = [math.prod(shape) for shape in shapes]
-        missing = offset + 8 * sum(counts) - len(data)
+        missing = offset + 8 * sum(math.prod(shape) for shape in shapes) - len(data)
         if missing > 0:
             raise NetworkFormatError("%s: parameter block truncated at byte %d (need %d more)"
                                      % (path, len(data), missing))
         if missing < 0:
             raise NetworkFormatError("%s: %d trailing bytes" % (path, -missing))
         flat = np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64)
-        params = [p.reshape(shape) for p, shape in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)]
-        layers = [LSTMLayer(w, b) for w, b in zip(params[:-2:2], params[1:-2:2])]
-        net = Network(layers, header["downsample"], *params[-2:], vocab, header["mode"])
+        finite = np.isfinite(flat)
+        if not finite.all():
+            raise NetworkFormatError("%s: non-finite parameter at byte %d"
+                                     % (path, offset + 8 * int(np.argmin(finite))))
+        *stacked, w_out, b_out = _views(flat, shapes)
+        layers = [LSTMLayer(w, b) for w, b in zip(stacked[::2], stacked[1::2])]
+        net = Network(layers, header["downsample"], w_out, b_out, vocab, header["mode"])
         if _ints("lookahead", [header["lookahead"]]) != (net.lookahead,):
             raise ValueError("lookahead %r does not fit mode %r" % (header["lookahead"], net.mode))
     except NetworkFormatError:

@@ -248,12 +248,12 @@ def train(model, train_utterances, dev_utterances, cfg):
                         raise TrainingError("%s: loss is %r" % (where, loss))
                     grads, _ = network_backward(model, tape, d_logits)
                     try:
-                        clipped, factor = clip_global_norm(grads.arrays(), cfg.clip_norm)
+                        (step,), factor = clip_global_norm([grads.flat], cfg.clip_norm)
                     except FloatingPointError as exc:
                         raise TrainingError("%s: %s" % (where, exc)) from None
                 try:
                     with np.errstate(over="raise", invalid="raise"):
-                        sgd_update(model, clipped, lr)
+                        sgd_update(model, step, lr)
                 except FloatingPointError as exc:
                     raise TrainingError("%s: update at step size %r: %s" % (where, lr, exc)) from None
                 clip_events += factor < 1.0

@@ -22,7 +22,13 @@ from wordctc.data import (
     save_transcripts,
     subset,
 )
-from wordctc.network import Network, downsample_schedule, network_forward, save_network
+from wordctc.network import (
+    Network,
+    downsample_schedule,
+    load_network,
+    network_forward,
+    save_network,
+)
 from wordctc.training import evaluate, training_perplexity
 
 TINY_SYNTH = [
@@ -219,8 +225,6 @@ class TestTrain:
                    "--init-from", phone / "model.net", "--init-layers", "3",
                    "--seed", "2") == 0
         # the bottom three layers really came over
-        from wordctc.network import load_network
-
         src = load_network(phone / "model.net")
         # a fresh run without transfer differs in the bottom layers
         cold = tmp_path / "cold"
@@ -330,11 +334,24 @@ class TestDecodeAndScore:
 
     @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead",
                                         "int-labels", "float-dims", "zero-hidden", "huge-hidden",
-                                        "float-downsample", "bool-downsample", "bool-lookahead"])
+                                        "float-downsample", "bool-downsample", "bool-lookahead",
+                                        "nan-layer", "inf-layer", "nan-w-out"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
+        reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit",
+                  "huge-hidden": "truncated",
+                  "float-downsample": "integers", "bool-downsample": "integers",
+                  "bool-lookahead": "integers"}
         if damage == "half":
             blob = blob[: len(blob) // 2]
+        elif damage in ("nan-layer", "inf-layer", "nan-w-out"):
+            # the first float of the payload, or of the softmax weights
+            net = load_network(model_dir / "model.net")
+            at = len(blob) - 8 * (net.w_out.size + net.b_out.size if damage == "nan-w-out"
+                                  else net.flat.size)
+            bad = math.inf if damage == "inf-layer" else math.nan
+            blob = blob[:at] + struct.pack("<d", bad) + blob[at + 8 :]
+            reason[damage] = "non-finite parameter at byte %d" % at
         else:
             (header_len,) = struct.unpack_from("<I", blob, 8)
             header = json.loads(blob[12 : 12 + header_len])
@@ -369,10 +386,6 @@ class TestDecodeAndScore:
                    "--out-dir", tmp_path / "d") == 3
         err = capsys.readouterr().err
         assert str(broken) in err
-        reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit",
-                  "huge-hidden": "truncated",
-                  "float-downsample": "integers", "bool-downsample": "integers",
-                  "bool-lookahead": "integers"}
         assert reason.get(damage, "") in err, err
 
     def test_checkpoint_feature_dimension_mismatch(self, tmp_path, data_dir, model_dir, capsys):

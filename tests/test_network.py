@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from wordctc.network import (
     transfer_bottom_layers,
     unpack,
 )
+from wordctc.numerics import global_norm
 
 VOCAB = Vocabulary(("a", "b", "c"))
 
@@ -470,6 +472,25 @@ class TestForwardBatches:
         assert sorted(dict(forward_batches(net, feats))) == list(range(5))
         assert calls == [[40] * 4, [40]]
 
+    def test_lone_utterance_over_the_budget_keeps_no_tape(self, monkeypatch):
+        net = Network.random(4, [6] * 3, VOCAB, "word-ctc",
+                             downsample=downsample_schedule(4, 3), seed=3)
+        x = np.random.default_rng(11).normal(size=(40, 4))
+        want = network_forward(net, x)[0]
+        keeps = []
+        real = network.lstm_forward
+
+        def spy(layer, inputs, lengths=None, keep_tape=True):
+            keeps.append(keep_tape)
+            return real(layer, inputs, lengths, keep_tape)
+
+        monkeypatch.setattr(network, "lstm_forward", spy)
+        # the utterance's features alone are 2 * 40 * 4 * 8 bytes
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 1000)
+        [(index, got)] = forward_batches(net, [x])
+        assert index == 0 and keeps == [False] * 3
+        assert _close(got, want)
+
 
 class TestNetworkBackward:
     def test_full_gradient_check(self):
@@ -540,9 +561,75 @@ class TestNetworkBackward:
         lattice, tape = network_forward(net, x)
         _, d_logits = ctc_loss_and_gradient(lattice, (0,))
         grads, _ = network_backward(net, tape, d_logits)
-        sgd_update(net, grads.arrays(), 0.1)
+        sgd_update(net, grads.flat, 0.1)
         with pytest.raises(StaleTapeError):
             network_backward(net, tape, d_logits)
+
+
+class TestFlatParameters:
+    def test_views_write_through_to_flat(self):
+        net = tiny_net(seed=3)
+        assert all(np.shares_memory(p, net.flat) for p in net.params())
+        net.layers[0].w_i[0, 0] = 7.0
+        net.w_out[-1, -1] = -7.0
+        assert net.flat[0] == 7.0
+        assert net.flat[-net.b_out.size - 1] == -7.0
+
+    def test_copies_share_no_memory(self):
+        src, dst = tiny_net(seed=1), tiny_net(seed=2)
+        copy = dst.copy()
+        moved = transfer_bottom_layers(src, dst, 1)
+        np.testing.assert_array_equal(copy.flat, dst.flat)
+        for out, inputs in ((copy, [dst]), (moved, [src, dst])):
+            assert all(np.shares_memory(p, out.flat) for p in out.params())
+            assert not any(np.shares_memory(out.flat, net.flat) for net in inputs)
+
+    def test_checkpoint_payload_is_flat(self, tmp_path):
+        net = tiny_net(seed=4)
+        net.flat += np.random.default_rng(4).normal(size=net.flat.size)
+        path = tmp_path / "model.net"
+        save_network(net, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        assert blob[12 + header_len :] == net.flat.astype("<f8").tobytes()
+        assert load_network(path).flat.tobytes() == net.flat.tobytes()
+
+    def test_update_shape_checked(self):
+        net = tiny_net()
+        with pytest.raises(ValueError, match="shape"):
+            sgd_update(net, np.zeros(net.flat.size - 1), 0.1)
+        assert net.version == 0
+
+    def test_gradients_bit_identical_and_flat_norm_within_tolerance(self, monkeypatch):
+        # the per-array gradients are lstm_backward's, copied; the norm of
+        # the one flat vector sums in another order than the per-array sum
+        recorded = []
+        real = network.lstm_backward
+
+        def spy(layer, tape, d_hidden):
+            d_inputs, grads = real(layer, tape, d_hidden)
+            recorded[:0] = [g.copy() for g in grads]  # top layer first, as the network goes
+            return d_inputs, grads
+
+        monkeypatch.setattr(network, "lstm_backward", spy)
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for seed in range(30):
+            net = Network.random(4, [16] * 3, VOCAB, "word-ctc", downsample=(0, 1, 1), seed=seed)
+            x = rng.normal(size=(int(rng.integers(16, 60)), 4))
+            target = tuple(int(k) for k in rng.integers(3, size=int(rng.integers(1, 3))))
+            lattice, tape = network_forward(net, x)
+            _, d_logits = ctc_loss_and_gradient(lattice, target)
+            recorded.clear()
+            grads, _ = network_backward(net, tape, d_logits)
+            top = tape.layer_tapes[-1].hidden
+            want = recorded + [d_logits.T @ top, d_logits.sum(axis=0)]
+            assert len(grads.arrays()) == len(want) == len(net.params())
+            for got, w in zip(grads.arrays(), want):
+                np.testing.assert_array_equal(got, w)
+            per_array = global_norm(grads.arrays())
+            worst = max(worst, abs(global_norm([grads.flat]) - per_array) / per_array)
+        assert worst <= 1e-14
 
 
 class TestInit:
