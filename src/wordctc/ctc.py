@@ -2,10 +2,11 @@
 
 The collapse function first merges runs of identical symbols and then drops
 blanks, in that order.  The loss marginalizes over every frame path that
-collapses to the target, entirely in log space.  One sweep over the
-blank-interleaved state sequence gives the forward variables; the same sweep
-over the time- and state-reversed lattice, read back reversed, gives the
-backward ones.  The blank always occupies the last column of a lattice.
+collapses to the target, entirely in log space.  The forward variables come
+from a sweep over the blank-interleaved state sequence, and the backward ones
+from the same sweep over the time- and state-reversed lattice, read back
+reversed; the loss and gradient run both as one loop over the two lattices
+stacked.  The blank always occupies the last column of a lattice.
 """
 
 from dataclasses import dataclass
@@ -168,23 +169,30 @@ def _expanded_states(y, blank):
 
 
 def _sweep(emit, skip):
-    """Log-mass of path prefixes entering each state, given emit[t, j], the
-    log-probability of state j's symbol at frame t.  Row 0 is 0 on the
-    first two states; row t combines row t-1 plus its emissions by staying,
-    advancing one state, or jumping two where `skip` allows."""
-    T, S = emit.shape
-    out = np.full((T, S), NEG_INF)
-    out[0, :2] = 0.0
-    move = np.full(S, NEG_INF)
-    jump = np.full(S, NEG_INF)
-    for t in range(1, T):
-        prev = out[t - 1] + emit[t - 1]
-        move[1:] = prev[:-1]
-        a = np.logaddexp(prev, move)
+    """Log-mass of path prefixes entering each state, for K lattices at
+    once: emit[t, k, j] is the log-probability of lattice k's state j's
+    symbol at frame t, and skip[k, j] whether lattice k may jump into state
+    j from state j - 2.  Row 0 is 0 on the first two states; row t combines
+    row t-1 plus its emissions by staying, advancing one state, or jumping
+    two where `skip` allows.  Each step works on the (K, S) rows of all
+    lattices in place, and every element sees the operands a sweep of its
+    lattice alone would give it, in the same order."""
+    T, K, S = emit.shape
+    out = np.full((T, K, S), NEG_INF)
+    out[0, :, :2] = 0.0
+    prev = np.empty((K, S))
+    move = np.full((K, S), NEG_INF)
+    jump = np.full((K, S), NEG_INF)
+    moved, moving = move[:, 1:], prev[:, :-1]
+    jumped, jumping, allowed = jump[:, 2:], prev[:, :-2], skip[:, 2:]
+    for last, e, row in zip(out, emit, out[1:]):
+        np.add(last, e, out=prev)
+        np.copyto(moved, moving)
+        np.logaddexp(prev, move, out=row)
         if S > 2:
-            jump[2:] = np.where(skip[2:], prev[:-2], NEG_INF)
-            a = np.logaddexp(a, jump)
-        out[t] = a
+            # states no jump may enter keep -inf from the start
+            np.copyto(jumped, jumping, where=allowed)
+            np.logaddexp(row, jump, out=row)
     return out
 
 
@@ -205,7 +213,7 @@ def ctc_log_likelihood(lattice, target):
         return 0.0 if not y else NEG_INF
     sym, skip = _expanded_states(y, blank)
     emit = lattice[:, sym]
-    return _final_log_prob(_sweep(emit, skip) + emit)
+    return _final_log_prob(_sweep(emit[:, None], skip[None])[:, 0] + emit)
 
 
 def ctc_loss_and_gradient(lattice, target):
@@ -223,13 +231,16 @@ def ctc_loss_and_gradient(lattice, target):
         return 0.0, np.zeros_like(lattice)
     sym, skip = _expanded_states(y, blank)
     emit = lattice[:, sym]
-    alpha = _sweep(emit, skip) + emit
+    # one sweep: alpha over the lattice, beta over it reversed in time and states
+    both = _sweep(np.stack([emit, emit[::-1, ::-1]], axis=1),
+                  np.stack([skip, _expanded_states(y[::-1], blank)[1]]))
+    alpha = both[:, 0] + emit
     ll = _final_log_prob(alpha)
     if ll == NEG_INF:
         raise InfeasibleTargetError(
             "target of length %d has no alignment in %d frames" % (len(y), T)
         )
-    beta = _sweep(emit[::-1, ::-1], _expanded_states(y[::-1], blank)[1])[::-1, ::-1]
+    beta = both[::-1, 1, ::-1]
     gamma = np.exp(alpha + beta - ll)
     occupancy = np.zeros_like(lattice)
     np.add.at(occupancy, (slice(None), sym), gamma)

@@ -11,6 +11,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.special import expit
@@ -187,12 +188,6 @@ class LayerTape:
     hidden: np.ndarray
 
 
-def _step_index(start, rows):
-    """Index of `rows` rows from `start`: an int for one row, which keeps
-    that step on vector operations, else a slice."""
-    return start if rows == 1 else slice(start, start + rows)
-
-
 def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
     """Run the recurrence from zero initial state over packed sequences.
 
@@ -204,17 +199,21 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
 
     Each step adds one recurrent product over the rows still running to
     their input projection (Appleyard et al., arXiv:1604.01946) and updates
-    the gates and cell in place.  A one-row step multiplies the weights by
-    the hidden vector; a step of several rows multiplies their hidden rows
-    by one contiguous transposed copy of the recurrent weights.  With the
+    the gates and cell in place.  The steps of several rows come first and
+    take their rows as slices; the one-row steps after them, every step of
+    a single sequence, take theirs as the row views of one `zip` over the
+    gate, cell and hidden arrays, so they index nothing.  A one-row step
+    multiplies one contiguous copy of the recurrent weights by the hidden
+    vector, and a step of several rows multiplies their hidden rows by one
+    contiguous transposed copy, each into one reused buffer.  With the
     tape, the projection of all rows is one product before the time loop,
     and the gates, cell and tanh-cell of every row are kept.  Without it,
     the projection is made for one block of whole steps at a time, at most
     MAX_BATCH_BYTES // 8 of gates (or the first step, if that is wider),
     into one reused buffer; the cell lives in one row per sequence, since
     each step's rows are a prefix of the step before's, and tanh(cell) is
-    written into the output rows.  Both run the same step arithmetic, and
-    the tests check that their outputs are bit-identical.
+    written into the output rows.  Both run the same step body, and the
+    tests check that their outputs are bit-identical.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -224,13 +223,14 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
     H = layer.hidden_dim
     D = layer.input_dim
     wx = layer.w[:, :D].T
-    wh = layer.w[:, D:]
+    whc = np.ascontiguousarray(layer.w[:, D:])
     T = len(sizes)
     width = sizes[0] if N else 0
     # only a batch of several sequences has steps of several rows to read it
-    whT = np.ascontiguousarray(wh.T) if width > 1 else None
+    whT = np.ascontiguousarray(whc.T) if width > 1 else None
     h = np.empty((N, H))
     tmp = np.empty((width, H))
+    rec = np.empty((width, 4 * H))
     if keep_tape:
         block_rows = N
         c = np.empty((N, H))
@@ -240,46 +240,68 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
         c = np.empty((width, H))
         tc = h
     gates = np.empty((min(N, block_rows), 4 * H))
-    i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+    # the sigmoid gates i, f and o, then the candidate g
     sig, cand = gates[:, : 3 * H], gates[:, 3 * H :]
+    i, f, o = (gates[:, k * H : (k + 1) * H] for k in range(3))
     starts = np.cumsum([0] + sizes[:-1]).tolist()
-    # blocks of whole steps; base[t] is the first row of step t's block
-    firsts, base = [0] if T else [], [0] * T
+    wide = T - sizes.count(1)  # steps of several rows
+    # blocks of whole steps
+    firsts = [0] if T else []
     for t in range(1, T):
         if starts[t] + sizes[t] - starts[firsts[-1]] > block_rows:
             firsts.append(t)
-        base[t] = starts[firsts[-1]]
-    rows = [_step_index(s, b) for s, b in zip(starts, sizes)]
-    prev = [None] + [_step_index(s, b) for s, b in zip(starts, sizes[1:])]
-    heads = [_step_index(0, b) for b in sizes]
-    gate_rows = [_step_index(s - lo, b) for s, lo, b in zip(starts, base, sizes)]
-    # the cell rows of each step and of the same sequences one step before
-    cell_rows, cell_prev = (rows, prev) if keep_tape else (heads, heads)
     for first, stop in zip(firsts, firsts[1:] + [T]):
         lo = starts[first]
         n = starts[stop - 1] + sizes[stop - 1] - lo
         np.matmul(x[lo : lo + n], wx, out=gates[:n])
         gates[:n] += layer.b
-        for t in range(first, stop):
-            k, r, s = gate_rows[t], rows[t], heads[t]
-            if t:
-                a = gates[k]
-                p = prev[t]
-                a += wh @ h[p] if sizes[t] == 1 else h[p] @ whT
-            a = sig[k]
-            expit(a, out=a)
-            a = cand[k]
-            np.tanh(a, out=a)
-            cell = c[cell_rows[t]]
-            if t:
-                np.multiply(f[k], c[cell_prev[t]], out=cell)
-                np.multiply(i[k], g[k], out=tmp[s])
-                cell += tmp[s]
-            else:  # no previous cell
-                np.multiply(i[k], g[k], out=cell)
-            out = tc[r]
+        # per step: gate blocks, cell, previous cell (None at step 0), tanh
+        # cell and hidden rows, the recurrent product's factors, and buffers
+        steps = []
+        for t in range(first, min(stop, wide)):
+            r, b, k = starts[t], sizes[t], starts[t] - lo
+            p = starts[t - 1] if t else None
+            cell = c[r : r + b] if keep_tape else c[:b]
+            steps.append((
+                gates[k : k + b], sig[k : k + b], cand[k : k + b],
+                i[k : k + b], f[k : k + b], o[k : k + b],
+                cell, None if p is None else c[p : p + b] if keep_tape else cell,
+                tc[r : r + b], h[r : r + b],
+                None if p is None else h[p : p + b], whT, tmp[:b], rec[:b],
+            ))
+        u = max(first, wide)
+        if u < stop:
+            # one row a step, each following the row before it, except that
+            # the first follows the first row of a wider step, if any
+            r, k, end = starts[u], starts[u] - lo, lo + n
+            p = starts[u - 1] if u else None
+            if keep_tape:
+                cells = c[r:end]
+                prev_cells = chain([None if p is None else c[p]], c[r : end - 1])
+            else:
+                cells = repeat(c[0])
+                prev_cells = chain([None if p is None else c[0]], repeat(c[0]))
+            steps = chain(steps, zip(
+                gates[k:n], sig[k:n], cand[k:n], i[k:n], f[k:n], o[k:n],
+                cells, prev_cells, tc[r:end], h[r:end],
+                repeat(whc), chain([None if p is None else h[p]], h[r : end - 1]),
+                repeat(tmp[0]), repeat(rec[0]),
+            ))
+        for a, sg, gg, ig, fg, og, cell, cp, out, hr, left, right, tm, rc in steps:
+            if cp is not None:
+                # whc . h_prev for one row, h_prev . whT for several
+                np.dot(left, right, out=rc)
+                a += rc
+            expit(sg, out=sg)
+            np.tanh(gg, out=gg)
+            if cp is None:  # no previous cell
+                np.multiply(ig, gg, out=cell)
+            else:
+                np.multiply(fg, cp, out=cell)
+                np.multiply(ig, gg, out=tm)
+                cell += tm
             np.tanh(cell, out=out)
-            np.multiply(o[k], out, out=h[r])
+            np.multiply(og, out, out=hr)
     return h, (LayerTape(x, gates, c, tc, h) if keep_tape else None)
 
 
@@ -292,8 +314,12 @@ def lstm_backward(layer, tape, d_hidden):
 
     The gate-derivative factors that do not depend on the recurrence are
     computed for all frames before the time loop (Appleyard et al.,
-    arXiv:1604.01946), so each step is a few in-place vector operations and
-    one matrix-vector product.
+    arXiv:1604.01946), together with the forget gate as a fifth factor, so
+    one multiply per step writes the four gate gradients and the cell
+    gradient carried to the step before.  The loop takes each step's rows
+    as the row views of one `zip` over the reversed arrays, so it indexes
+    nothing, and each step is five in-place vector operations and one
+    matrix-vector product.
     """
     d_hidden = np.asarray(d_hidden, dtype=np.float64)
     T = tape.inputs.shape[0]
@@ -306,27 +332,32 @@ def lstm_backward(layer, tape, d_hidden):
     i, f, o, g = tape.gates.reshape(T, 4, H).transpose(1, 0, 2)
     tc = tape.tanh_cell
     c_prev = np.vstack([np.zeros((1, H)), tape.cell[:-1]])
-    # d_act[t] is [dc, dc, dh, dc] * factors[t], gate by gate; dc = dh * dc_dh + dc_rec
-    factors = np.empty((T, 4, H))
+    # rows[t] is [dc, dc, dh, dc, dc] * factors[t], gate by gate: the four
+    # gate gradients, then the cell gradient carried to step t - 1, where
+    # dc = dh * dc_dh + the one carried from step t + 1
+    factors = np.empty((T, 5, H))
     factors[:, 0] = g * i * (1.0 - i)
     factors[:, 1] = c_prev * f * (1.0 - f)
     factors[:, 2] = o * (1.0 - o) * tc
     factors[:, 3] = i * (1.0 - g**2)
+    factors[:, 4] = f
     dc_dh = o * (1.0 - tc**2)
-    d_act = np.empty((T, 4 * H))
-    gate_act = d_act.reshape(T, 4, H)
+    rows = np.empty((T, 5, H))
+    d_act = rows[:, :4].reshape(T, 4 * H)  # a view: each row's first 4H
     dh = np.empty(H)
     dc = np.empty(H)
     dh_rec = np.zeros(H)
-    dc_rec = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        np.add(d_hidden[t], dh_rec, out=dh)
-        np.multiply(dh, dc_dh[t], out=dc)
+    carried = chain([np.zeros(H)], rows[::-1, 4])
+    for d_out, dcdh, fac, row, fac_o, row_o, act, dc_rec in zip(
+        d_hidden[::-1], dc_dh[::-1], factors[::-1], rows[::-1],
+        factors[::-1, 2], rows[::-1, 2], d_act[::-1], carried,
+    ):
+        np.add(d_out, dh_rec, out=dh)
+        np.multiply(dh, dcdh, out=dc)
         dc += dc_rec
-        np.multiply(dc, factors[t], out=gate_act[t])
-        np.multiply(dh, factors[t, 2], out=gate_act[t, 2])  # the output gate sees dh
-        np.multiply(dc, f[t], out=dc_rec)
-        np.dot(d_act[t], wh, out=dh_rec)
+        np.multiply(dc, fac, out=row)
+        np.multiply(dh, fac_o, out=row_o)  # the output gate sees dh
+        np.dot(act, wh, out=dh_rec)
     h_prev = np.vstack([np.zeros((1, H)), tape.hidden[:-1]])
     z = np.hstack([tape.inputs, h_prev])
     dw = d_act.T @ z

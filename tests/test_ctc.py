@@ -10,6 +10,8 @@ from scipy.special import logsumexp
 from wordctc.ctc import (
     InfeasibleTargetError,
     Vocabulary,
+    _expanded_states,
+    _sweep,
     collapse,
     ctc_log_likelihood,
     ctc_loss_and_gradient,
@@ -258,19 +260,97 @@ class TestGradient:
     def test_forward_backward_consistent_at_every_frame(self):
         # total path mass through frame t is the same for all t; alpha and
         # beta both come from the one sweep, beta over the reversed lattice
-        from wordctc.ctc import _expanded_states, _sweep
-
         rng = np.random.default_rng(8)
         lattice = random_lattice(rng, 6, 3)
         y = np.array([2, 0, 0])
         blank = lattice.shape[1] - 1
         sym, skip = _expanded_states(y, blank)
         emit = lattice[:, sym]
-        alpha = _sweep(emit, skip) + emit
-        beta = _sweep(emit[::-1, ::-1], _expanded_states(y[::-1], blank)[1])[::-1, ::-1]
+        both = _sweep(np.stack([emit, emit[::-1, ::-1]], axis=1),
+                      np.stack([skip, _expanded_states(y[::-1], blank)[1]]))
+        alpha = both[:, 0] + emit
+        beta = both[::-1, 1, ::-1]
         ll = ctc_log_likelihood(lattice, y)
         for t in range(6):
             assert logsumexp(alpha[t] + beta[t]) == pytest.approx(ll, abs=1e-10)
+
+
+def _reference_sweep(emit, skip):
+    """One lattice's sweep, one (S,) row per step with fresh arrays: the
+    oracle for the stacked sweep, bit for bit."""
+    T, S = emit.shape
+    out = np.full((T, S), NEG_INF)
+    out[0, :2] = 0.0
+    for t in range(1, T):
+        prev = out[t - 1] + emit[t - 1]
+        move = np.concatenate([[NEG_INF], prev[:-1]])
+        a = np.logaddexp(prev, move)
+        if S > 2:
+            jump = np.concatenate([[NEG_INF, NEG_INF], np.where(skip[2:], prev[:-2], NEG_INF)])
+            a = np.logaddexp(a, jump)
+        out[t] = a
+    return out
+
+
+def _sweep_inputs(lattice, y):
+    """emit and skip of the forward lattice and of its reversal."""
+    blank = lattice.shape[1] - 1
+    sym, skip = _expanded_states(y, blank)
+    emit = lattice[:, sym]
+    return (emit, skip), (emit[::-1, ::-1], _expanded_states(y[::-1], blank)[1])
+
+
+EDGE_CASES = {
+    "empty-target": (5, 3, ()),  # one state
+    "one-label": (4, 3, (1,)),
+    "repeats": (7, 2, (0, 0, 0)),  # no state may be skipped
+    "one-frame": (1, 3, (2,)),
+    "one-frame-empty-target": (1, 3, ()),
+    "repeat-in-just-enough-frames": (3, 2, (1, 1)),
+    "infeasible-repeat": (2, 2, (1, 1)),  # needs 3 frames
+    "infeasible-length": (3, 4, (0, 1, 2, 3)),  # needs 4 frames
+}
+
+
+def _fused_sweep_cases(name):
+    """(lattice, target) pairs: one edge case, or 200 seeded random ones."""
+    rng = np.random.default_rng(14)
+    if name != "random":
+        n_frames, n_labels, y = EDGE_CASES[name]
+        return [(random_lattice(rng, n_frames, n_labels), y)]
+    cases = []
+    for _ in range(200):
+        n_frames = int(rng.integers(1, 30))
+        n_labels = int(rng.integers(1, 6))
+        y = tuple(int(v) for v in rng.integers(0, n_labels, size=int(rng.integers(0, 12))))
+        cases.append((random_lattice(rng, n_frames, n_labels), y))
+    return cases
+
+
+@pytest.mark.parametrize("name", [*EDGE_CASES, "random"])
+class TestFusedSweep:
+    def test_one_stacked_sweep_equals_two_single_sweeps(self, name):
+        for lattice, y in _fused_sweep_cases(name):
+            forward, backward = _sweep_inputs(lattice, y)
+            both = _sweep(np.stack([forward[0], backward[0]], axis=1),
+                          np.stack([forward[1], backward[1]]))
+            for row, (emit, skip) in zip((0, 1), (forward, backward)):
+                alone = _sweep(emit[:, None], skip[None])
+                assert alone.shape == (len(emit), 1, emit.shape[1])
+                assert np.array_equal(both[:, row], alone[:, 0]), (y, row)
+                assert np.array_equal(both[:, row], _reference_sweep(emit, skip)), (y, row)
+
+    def test_loss_raises_exactly_for_infeasible_targets(self, name):
+        for lattice, y in _fused_sweep_cases(name):
+            feasible = min_frames(y) <= len(lattice)
+            assert (ctc_log_likelihood(lattice, y) > NEG_INF) == feasible, y
+            if feasible:
+                nll, grad = ctc_loss_and_gradient(lattice, y)
+                assert nll == -ctc_log_likelihood(lattice, y)
+                np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-9)
+            else:
+                with pytest.raises(InfeasibleTargetError):
+                    ctc_loss_and_gradient(lattice, y)
 
 
 class TestGreedyDecode:

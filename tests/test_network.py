@@ -208,7 +208,7 @@ class TestPackedLayout:
 
 class TestPackedLSTMForward:
     @pytest.mark.parametrize("T", [1, 2, 7, 400])
-    def test_one_utterance_is_bit_identical_to_the_loop(self, T):
+    def test_one_utterance_is_bit_identical_to_the_loop(self, monkeypatch, T):
         rng = np.random.default_rng(T)
         layer = LSTMLayer(LSTMLayer.random(5, 6, rng).w * 3.0, rng.normal(size=24))
         x = rng.normal(size=(T, 5))
@@ -217,15 +217,20 @@ class TestPackedLSTMForward:
         assert np.array_equal(h, want_h)
         for name, want in zip(TAPE_FIELDS, want_tape):
             assert np.array_equal(getattr(tape, name), want), name
-        # explicit lengths of one sequence are the same call
+        # explicit lengths of one sequence are the same call, taped or not,
+        # and with gate blocks of 5 rows the tape-less steps span several
         h1, _ = lstm_forward(layer, x, [T])
         assert np.array_equal(h1, want_h)
+        assert np.array_equal(lstm_forward(layer, x, [T], keep_tape=False)[0], want_h)
+        monkeypatch.setattr(network, "MAX_BATCH_BYTES", 8 * 5 * 4 * 6 * 8)
+        assert np.array_equal(lstm_forward(layer, x, [T], keep_tape=False)[0], want_h)
 
     @pytest.mark.parametrize("lengths, scale", [
         ([6, 6, 6], 1.0),               # equal lengths
         ([9, 4, 1, 1], 1.0),            # length-1 utterances
         ([120] + [3] * 12, 1.0),        # one long utterance, many short
         ([40, 33, 33, 17, 2], 10.0),    # weights x10: saturated gates
+        ([41, 7, 3], 3.0),              # a long one-row tail after wider steps
     ])
     def test_batch_matches_each_utterance(self, lengths, scale):
         rng = np.random.default_rng(len(lengths))
@@ -239,6 +244,7 @@ class TestPackedLSTMForward:
             assert _close(unpack(h, lens)[k], want_h)
             for name, want in zip(TAPE_FIELDS, want_tape):
                 assert _close(per_field[name][k], want), name
+        np.testing.assert_array_equal(lstm_forward(layer, packed, lens, keep_tape=False)[0], h)
 
     @pytest.mark.parametrize("block_rows", [5, 16])
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
@@ -362,6 +368,23 @@ class TestLSTMBackward:
         again_in, again_grads = lstm_backward(layer, tape, d_hidden)
         for got, again in zip([d_in, *grads], [again_in, *again_grads]):
             assert np.array_equal(got, again)
+
+    @pytest.mark.parametrize("T", [2, 7, 160])
+    def test_carried_gradients_match_per_step_reference(self, T):
+        # a gradient at the last frame only reaches the earlier frames through
+        # the carried hidden and cell gradients, the cell one written by the
+        # fifth factor row
+        rng = np.random.default_rng(T + 1)
+        D, H = 5, 6
+        layer = LSTMLayer(LSTMLayer.random(D, H, rng).w * 3.0, rng.normal(size=4 * H))
+        _, tape = lstm_forward(layer, rng.normal(size=(T, D)))
+        d_hidden = np.zeros((T, H))
+        d_hidden[-1] = rng.normal(size=H)
+        d_in, grads = lstm_backward(layer, tape, d_hidden)
+        want_in, want_grads = _reference_lstm_backward(layer, tape, d_hidden)
+        assert np.all(np.abs(d_in[0]) > 0)
+        for got, want in zip([d_in, *grads], [want_in, *want_grads]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestNetworkForward:
