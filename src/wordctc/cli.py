@@ -296,6 +296,9 @@ def cmd_train(opts, out):
     words = set(lexicon.words)
     train_utts = load_corpus(data / "train", known_words=words)
     dev_utts = load_corpus(data / "dev", known_words=words)
+    # the CTC modes score dev against its words, as `score` does
+    if opts.mode != "frame-classifier" and not any(u.transcript for u in dev_utts):
+        raise ManifestError("%s: no word to score dev against" % (data / "dev" / "corpus.tsv"))
     if opts.mode == "phoneme-ctc":
         train_utts = convert_transcripts_to_phonemes(train_utts, lexicon)
         dev_utts = convert_transcripts_to_phonemes(dev_utts, lexicon)

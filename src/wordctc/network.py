@@ -188,14 +188,13 @@ class LayerTape:
     hidden: np.ndarray
 
 
-def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
+def lstm_forward(layer, inputs, lengths=None):
     """Run the recurrence from zero initial state over packed sequences.
 
-    `inputs` is (N, input_dim) in the time-major layout of `pack` of
-    sequences whose lengths are `lengths`: step t's rows are one per
-    sequence still running, longest first.  The default is one sequence of
-    N frames.  Returns the (N, hidden) outputs and the layer's tape, or
-    None for the tape when `keep_tape` is false.
+    `inputs` is (N, input_dim): one sequence of N frames, or with `lengths`
+    several in the time-major layout of `pack`, where step t's rows are one
+    per sequence still running, longest first.  Returns the (N, hidden)
+    outputs and the tape backpropagation reads, or None for a batch's.
 
     Each step adds one recurrent product over the rows still running to
     their input projection (Appleyard et al., arXiv:1604.01946) and updates
@@ -205,21 +204,24 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
     gate, cell and hidden arrays, so they index nothing.  A one-row step
     multiplies one contiguous copy of the recurrent weights by the hidden
     vector, and a step of several rows multiplies their hidden rows by one
-    contiguous transposed copy, each into one reused buffer.  With the
-    tape, the projection of all rows is one product before the time loop,
-    and the gates, cell and tanh-cell of every row are kept.  Without it,
-    the projection is made for one block of whole steps at a time, at most
-    MAX_BATCH_BYTES // 8 of gates (or the first step, if that is wider),
-    into one reused buffer; the cell lives in one row per sequence, since
-    each step's rows are a prefix of the step before's, and tanh(cell) is
-    written into the output rows.  Both run the same step body, and the
-    tests check that their outputs are bit-identical.
+    contiguous transposed copy, each into one reused buffer.  For one
+    sequence, the projection of all rows is one product before the time
+    loop, and the gates, cell and tanh-cell of every row are kept.  For a
+    batch, the projection is made for one block of whole steps at a time,
+    at most MAX_BATCH_BYTES // 8 of gates (or the first step, if that is
+    wider), into one reused buffer; the cell lives in one row per sequence,
+    since each step's rows are a prefix of the step before's, and
+    tanh(cell) is written into the output rows.  Both run the same step
+    body.  A batch of one sequence gives the taped outputs bit for bit
+    while its rows fit one gate block; past that, a block's projection can
+    round differently in the last bits, which the tests bound at 1e-12.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
         raise ValueError("expected (N, %d) inputs, got %r" % (layer.input_dim, x.shape))
     N = x.shape[0]
-    sizes = [1] * N if lengths is None else _batch_sizes(lengths, N).tolist()
+    keep = lengths is None
+    sizes = [1] * N if keep else _batch_sizes(lengths, N).tolist()
     H = layer.hidden_dim
     D = layer.input_dim
     wx = layer.w[:, :D].T
@@ -231,14 +233,9 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
     h = np.empty((N, H))
     tmp = np.empty((width, H))
     rec = np.empty((width, 4 * H))
-    if keep_tape:
-        block_rows = N
-        c = np.empty((N, H))
-        tc = np.empty((N, H))
-    else:
-        block_rows = max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
-        c = np.empty((width, H))
-        tc = h
+    block_rows = N if keep else max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
+    c = np.empty((N if keep else width, H))
+    tc = np.empty((N, H)) if keep else h
     gates = np.empty((min(N, block_rows), 4 * H))
     # the sigmoid gates i, f and o, then the candidate g
     sig, cand = gates[:, : 3 * H], gates[:, 3 * H :]
@@ -261,12 +258,11 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
         for t in range(first, min(stop, wide)):
             r, b, k = starts[t], sizes[t], starts[t] - lo
             p = starts[t - 1] if t else None
-            cell = c[r : r + b] if keep_tape else c[:b]
+            cell = c[:b]
             steps.append((
                 gates[k : k + b], sig[k : k + b], cand[k : k + b],
                 i[k : k + b], f[k : k + b], o[k : k + b],
-                cell, None if p is None else c[p : p + b] if keep_tape else cell,
-                tc[r : r + b], h[r : r + b],
+                cell, None if p is None else cell, tc[r : r + b], h[r : r + b],
                 None if p is None else h[p : p + b], whT, tmp[:b], rec[:b],
             ))
         u = max(first, wide)
@@ -275,12 +271,9 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
             # the first follows the first row of a wider step, if any
             r, k, end = starts[u], starts[u] - lo, lo + n
             p = starts[u - 1] if u else None
-            if keep_tape:
-                cells = c[r:end]
-                prev_cells = chain([None if p is None else c[p]], c[r : end - 1])
-            else:
-                cells = repeat(c[0])
-                prev_cells = chain([None if p is None else c[0]], repeat(c[0]))
+            # one sequence keeps every step's cell row; a batch updates one in place
+            cells = c if keep else repeat(c[0])
+            prev_cells = chain([None if p is None else c[0]], c[:-1] if keep else repeat(c[0]))
             steps = chain(steps, zip(
                 gates[k:n], sig[k:n], cand[k:n], i[k:n], f[k:n], o[k:n],
                 cells, prev_cells, tc[r:end], h[r:end],
@@ -302,7 +295,7 @@ def lstm_forward(layer, inputs, lengths=None, keep_tape=True):
                 cell += tm
             np.tanh(cell, out=out)
             np.multiply(og, out, out=hr)
-    return h, (LayerTape(x, gates, c, tc, h) if keep_tape else None)
+    return h, (LayerTape(x, gates, c, tc, h) if keep else None)
 
 
 def lstm_backward(layer, tape, d_hidden):
@@ -442,10 +435,9 @@ class Network:
 
 @dataclass
 class ForwardTape:
-    layer_tapes: list  # one per layer for one utterance; empty for a packed batch
+    layer_tapes: list  # one per layer
     input_rows: int  # rows of the features, before any halving
     version: int
-    lengths: np.ndarray  # lattice rows of each utterance
 
 
 class NetworkGradients:
@@ -469,10 +461,10 @@ def network_forward(net, features, lengths=None):
     floor(T / 2**m) lattice rows, packed like the features; every row
     exponentiates to a distribution.
 
-    Only a call without `lengths` keeps layer tapes, which backpropagation
-    needs; a packed batch, even of one utterance, runs `lstm_forward`
-    without a tape, so in each layer it holds that layer's input and hidden
-    rows, one block of gates and one cell row per utterance.
+    Only a call without `lengths` returns a tape, which backpropagation
+    reads; a packed batch, even of one utterance, returns None for it, so
+    in each layer it holds that layer's input and hidden rows, one block of
+    gates and one cell row per utterance.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -487,12 +479,10 @@ def network_forward(net, features, lengths=None):
         for _ in range(halvings):
             h = downsample(h, lengths)
             lengths = lengths // 2
-        h, tape = lstm_forward(layer, h, lengths, keep_tape=keep)
-        if keep:
-            tapes.append(tape)
-    logits = h @ net.w_out.T + net.b_out
-    lattice = log_softmax(logits)
-    return lattice, ForwardTape(tapes, x.shape[0], net.version, lengths)
+        h, tape = lstm_forward(layer, h, None if keep else lengths)
+        tapes.append(tape)
+    lattice = log_softmax(h @ net.w_out.T + net.b_out)
+    return lattice, (ForwardTape(tapes, x.shape[0], net.version) if keep else None)
 
 
 def _widest_layer_bytes(net, n_frames):
@@ -544,8 +534,6 @@ def network_backward(net, tape, d_logits):
     """
     if tape.version != net.version:
         raise StaleTapeError("tape is stale; the network was updated after the forward pass")
-    if not tape.layer_tapes:
-        raise ValueError("backpropagation needs one utterance's tape, not a packed batch's")
     d_logits = np.asarray(d_logits, dtype=np.float64)
     top = tape.layer_tapes[-1].hidden
     expected = (top.shape[0], net.vocab.size)
@@ -641,7 +629,10 @@ def load_network(path):
     offset = 12 + header_len
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-        vocab = Vocabulary(tuple(header["labels"]), header["reserved"])
+        labels = header["labels"]
+        if not isinstance(labels, list):
+            raise ValueError("labels must be a list of strings, not a %s" % type(labels).__name__)
+        vocab = Vocabulary(tuple(labels), header["reserved"])
         d, *hidden_dims = _ints("dimensions", [header["input_dim"], *header["hidden_dims"]])
         if d < 1 or min(hidden_dims, default=1) < 1:
             raise ValueError("dimensions %r must be positive; an LSTM layer needs at least "

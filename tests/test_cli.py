@@ -212,6 +212,21 @@ class TestTrain:
                    *TINY_TRAIN, "--mode", "frame-classifier", "--downsample", "4") == 4
         assert "frame classification requires down-sampling factor 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["word-ctc", "phoneme-ctc"])
+    def test_wordless_dev_rejected_before_training(self, tmp_path, data_dir, capsys, monkeypatch,
+                                                   mode):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "dev" / "align.tsv").unlink()
+        corpus = data / "dev" / "corpus.tsv"
+        corpus.write_text("".join("%s\t%s\t\n" % tuple(line.split("\t")[:2])
+                                  for line in corpus.read_text().splitlines()))
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+        out = tmp_path / "out"
+        assert run("train", "--data", data, "--out-dir", out, *TINY_TRAIN, "--mode", mode) == 3
+        assert "%s: no word" % corpus in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_transfer_init(self, tmp_path, data_dir):
         phone = tmp_path / "phone"
         assert run("train", "--data", data_dir, "--out-dir", phone,
@@ -333,12 +348,13 @@ class TestDecodeAndScore:
         assert not (out / "report.tsv").exists()
 
     @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead",
-                                        "int-labels", "float-dims", "zero-hidden", "huge-hidden",
-                                        "float-downsample", "bool-downsample", "bool-lookahead",
-                                        "nan-layer", "inf-layer", "nan-w-out"])
+                                        "int-labels", "object-labels", "float-dims", "zero-hidden",
+                                        "huge-hidden", "float-downsample", "bool-downsample",
+                                        "bool-lookahead", "nan-layer", "inf-layer", "nan-w-out"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
-        reason = {"int-labels": "strings", "float-dims": "integers", "zero-hidden": "hidden unit",
+        reason = {"int-labels": "strings", "object-labels": "list of strings",
+                  "float-dims": "integers", "zero-hidden": "hidden unit",
                   "huge-hidden": "truncated",
                   "float-downsample": "integers", "bool-downsample": "integers",
                   "bool-lookahead": "integers"}
@@ -361,6 +377,9 @@ class TestDecodeAndScore:
                 header["lookahead"] = 2
             elif damage == "int-labels":
                 header["labels"] = list(range(len(header["labels"])))
+            elif damage == "object-labels":
+                # its keys are the labels, in order
+                header["labels"] = {w: i for i, w in enumerate(header["labels"])}
             elif damage == "float-dims":
                 header["hidden_dims"] = [float(h) for h in header["hidden_dims"]]
             elif damage == "zero-hidden":
