@@ -299,6 +299,13 @@ def cmd_train(opts, out):
     # the CTC modes score dev against its words, as `score` does
     if opts.mode != "frame-classifier" and not any(u.transcript for u in dev_utts):
         raise ManifestError("%s: no word to score dev against" % (data / "dev" / "corpus.tsv"))
+    # and the frame classifier trains and scores on the alignments
+    for split, utts in (("train", train_utts), ("dev", dev_utts)):
+        align = data / split / "align.tsv"
+        unaligned = [u.utt_id for u in utts if u.alignment is None]
+        if opts.mode == "frame-classifier" and unaligned:
+            why = "no alignment for utterance %r" % unaligned[0] if align.exists() else "no such file"
+            raise ManifestError("%s: %s" % (align, why))
     if opts.mode == "phoneme-ctc":
         train_utts = convert_transcripts_to_phonemes(train_utts, lexicon)
         dev_utts = convert_transcripts_to_phonemes(dev_utts, lexicon)
@@ -319,7 +326,11 @@ def cmd_train(opts, out):
     if opts.init_from:
         source = load_network(opts.init_from)
         _check_feature_dim(source.input_dim, opts.init_from, train_utts, data / "train")
-        model = transfer_bottom_layers(source, model, opts.init_layers)
+        try:
+            model = transfer_bottom_layers(source, model, opts.init_layers)
+        except ValueError as exc:
+            raise ValueError("--init-from %s --init-layers %d: %s"
+                             % (opts.init_from, opts.init_layers, exc)) from None
     # the CLI's --seed is not TrainConfig.seed: the shuffle stream is one of its three spawns
     cfg = _config(TrainConfig, opts, seed=shuffle_seed)
     result = train(model, train_utts, dev_utts, cfg)

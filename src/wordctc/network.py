@@ -128,6 +128,32 @@ def _ints(what, values):
     return values
 
 
+def _layout(input_dim, hidden_dims, n_labels):
+    """Shapes of the arrays in a network's parameter vector, in order: the one
+    statement of the layout of `Network.flat`, `NetworkGradients.flat` and a
+    checkpoint's payload.
+
+    Each LSTM layer, bottom first, holds its (4H, D+H) weights `w`, then its
+    (4H,) bias `b`; the gates are stacked as input, forget, output, cell
+    candidate, each with its D input columns before its H recurrent ones,
+    and D is the feature dimension or the width of the layer below.  The
+    softmax weights (n_labels, H) and bias (n_labels,) come last, so a
+    network's bottom k layers are a leading run of its vector.  Dimensions
+    must be positive ints, with at least one layer.
+    """
+    d, *hidden_dims = _ints("dimensions", [input_dim, *hidden_dims])
+    if not hidden_dims:
+        raise ValueError("need at least one LSTM layer")
+    if d < 1 or min(hidden_dims) < 1:
+        raise ValueError("dimensions %r must be positive; an LSTM layer needs at least "
+                         "one hidden unit" % ([d, *hidden_dims],))
+    shapes = []
+    for h in hidden_dims:
+        shapes += [(4 * h, d + h), (4 * h,)]
+        d = h
+    return shapes + [(n_labels, d), (n_labels,)]
+
+
 def _views(flat, shapes):
     """Views of consecutive runs of the vector `flat`, one of each shape."""
     ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
@@ -141,12 +167,9 @@ def _per_gate(w, b):
 
 
 class LSTMLayer:
-    """One LSTM layer, no peepholes.
-
-    `w` is (4 * hidden, input + hidden) and `b` is (4 * hidden,): the gates
-    are stacked in the order input, forget, output, cell candidate, and each
-    gate's input columns come before its recurrent ones.  `w_i` ... `b_g` are
-    read-only views of the gate blocks.
+    """One LSTM layer, no peepholes: (4 * hidden, input + hidden) weights `w`
+    and a (4 * hidden,) bias `b`, stacked as `_layout` states.  `w_i` ...
+    `b_g` are read-only views of the gate blocks.
     """
 
     def __init__(self, w, b):
@@ -196,25 +219,13 @@ def lstm_forward(layer, inputs, lengths=None):
     per sequence still running, longest first.  Returns the (N, hidden)
     outputs and the tape backpropagation reads, or None for a batch's.
 
-    Each step adds one recurrent product over the rows still running to
-    their input projection (Appleyard et al., arXiv:1604.01946) and updates
-    the gates and cell in place.  The steps of several rows come first and
-    take their rows as slices; the one-row steps after them, every step of
-    a single sequence, take theirs as the row views of one `zip` over the
-    gate, cell and hidden arrays, so they index nothing.  A one-row step
-    multiplies one contiguous copy of the recurrent weights by the hidden
-    vector, and a step of several rows multiplies their hidden rows by one
-    contiguous transposed copy, each into one reused buffer.  For one
-    sequence, the projection of all rows is one product before the time
-    loop, and the gates, cell and tanh-cell of every row are kept.  For a
-    batch, the projection is made for one block of whole steps at a time,
-    at most MAX_BATCH_BYTES // 8 of gates (or the first step, if that is
-    wider), into one reused buffer; the cell lives in one row per sequence,
-    since each step's rows are a prefix of the step before's, and
-    tanh(cell) is written into the output rows.  Both run the same step
-    body.  A batch of one sequence gives the taped outputs bit for bit
+    The input projection precedes the recurrence (Appleyard et al.,
+    arXiv:1604.01946).  A batch projects one block of whole steps at a
+    time, at most MAX_BATCH_BYTES // 8 of gates, and keeps one cell row per
+    sequence.  One-row steps take their rows from one `zip`, so they index
+    nothing.  A batch of one sequence gives the taped outputs bit for bit
     while its rows fit one gate block; past that, a block's projection can
-    round differently in the last bits, which the tests bound at 1e-12.
+    round differently, within 1e-12 in the tests.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -309,10 +320,8 @@ def lstm_backward(layer, tape, d_hidden):
     computed for all frames before the time loop (Appleyard et al.,
     arXiv:1604.01946), together with the forget gate as a fifth factor, so
     one multiply per step writes the four gate gradients and the cell
-    gradient carried to the step before.  The loop takes each step's rows
-    as the row views of one `zip` over the reversed arrays, so it indexes
-    nothing, and each step is five in-place vector operations and one
-    matrix-vector product.
+    gradient carried to the step before.  The loop takes its rows from one
+    `zip` over the reversed arrays, so it indexes nothing.
     """
     d_hidden = np.asarray(d_hidden, dtype=np.float64)
     T = tape.inputs.shape[0]
@@ -361,31 +370,31 @@ def lstm_backward(layer, tape, d_hidden):
 
 class Network:
     """LSTM stack with a softmax head.  downsample[i] halvings run before layer i.
-    The layers' `w` and `b` and the head's `w_out` and `b_out` are views into one
-    new float64 vector, `flat`, in checkpoint order."""
 
-    def __init__(self, layers, downsample, w_out, b_out, vocab, mode):
+    `flat`, every parameter as one float64 vector in the order `_layout`
+    states, is kept, not copied; the layers' `w` and `b` and the head's
+    `w_out` and `b_out` are views into it.
+    """
+
+    def __init__(self, flat, input_dim, hidden_dims, downsample, vocab, mode):
         if mode not in MODES:
             raise ValueError("mode must be one of %r" % (MODES,))
-        layers = list(layers)
-        if not layers:
-            raise ValueError("need at least one LSTM layer")
+        hidden_dims = tuple(hidden_dims)
+        shapes = _layout(input_dim, hidden_dims, vocab.size)
         downsample = _ints("down-sampling counts", downsample)
-        if len(downsample) != len(layers) or any(c < 0 for c in downsample):
+        if len(downsample) != len(hidden_dims) or any(c < 0 for c in downsample):
             raise ValueError("down-sampling counts must be one nonnegative int per layer")
         if mode == "frame-classifier" and any(downsample):
             raise ValueError("frame classification requires down-sampling factor 1")
-        for lo, hi in zip(layers, layers[1:]):
-            if hi.input_dim != lo.hidden_dim:
-                raise ValueError("layer dimensions do not chain")
-        if np.shape(w_out) != (vocab.size, layers[-1].hidden_dim):
-            raise ValueError("output weights must be (%d, %d)" % (vocab.size, layers[-1].hidden_dim))
-        if np.shape(b_out) != (vocab.size,):
-            raise ValueError("output bias must be (%d,)" % vocab.size)
-        arrays = [a for l in layers for a in (l.w, l.b)] + [w_out, b_out]
-        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        *stacked, self.w_out, self.b_out = _views(self.flat, [np.shape(a) for a in arrays])
+        size = sum(math.prod(shape) for shape in shapes)
+        if not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError("parameters must be a float64 vector of %d values, got %s of shape %r"
+                             % (size, getattr(flat, "dtype", type(flat).__name__), np.shape(flat)))
+        self.flat = flat
+        *stacked, self.w_out, self.b_out = _views(flat, shapes)
         self.layers = [LSTMLayer(w, b) for w, b in zip(stacked[::2], stacked[1::2])]
+        self.input_dim = input_dim
+        self.hidden_dims = hidden_dims
         self.downsample = downsample
         self.vocab = vocab
         self.mode = mode
@@ -397,20 +406,13 @@ class Network:
         frame classifier predicts frame t - 1; the CTC modes have none."""
         return 1 if self.mode == "frame-classifier" else 0
 
-    @property
-    def input_dim(self):
-        return self.layers[0].input_dim
-
-    @property
-    def hidden_dims(self):
-        return tuple(l.hidden_dim for l in self.layers)
-
     def params(self):
         """Views of `flat`: each layer's per-gate blocks, then `w_out` and `b_out`."""
         return [p for l in self.layers for p in l.params()] + [self.w_out, self.b_out]
 
     def copy(self):
-        return Network(self.layers, self.downsample, self.w_out, self.b_out, self.vocab, self.mode)
+        return Network(self.flat.copy(), self.input_dim, self.hidden_dims, self.downsample,
+                       self.vocab, self.mode)
 
     @classmethod
     def random(cls, input_dim, hidden_dims, vocab, mode, downsample=None, seed=0):
@@ -421,16 +423,15 @@ class Network:
         weights last, so equal seeds give bit-identical parameters.
         """
         rng = np.random.default_rng(seed)
-        d, *hidden_dims = _ints("dimensions", [input_dim, *hidden_dims])
+        dims = [input_dim, *hidden_dims]
+        shapes = _layout(dims[0], dims[1:], vocab.size)
+        layers = [LSTMLayer.random(d, h, rng) for d, h in zip(dims, dims[1:])]
+        w_out = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shapes[-2])
+        arrays = [a for l in layers for a in (l.w, l.b)] + [w_out, np.zeros(shapes[-1])]
         if downsample is None:
-            downsample = (0,) * len(hidden_dims)
-        layers = []
-        for h in hidden_dims:
-            layers.append(LSTMLayer.random(d, h, rng))
-            d = h
-        w_out = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab.size, d))
-        b_out = np.zeros(vocab.size)
-        return cls(layers, downsample, w_out, b_out, vocab, mode)
+            downsample = (0,) * len(layers)
+        return cls(np.concatenate([a.ravel() for a in arrays]), dims[0], dims[1:], downsample,
+                   vocab, mode)
 
 
 @dataclass
@@ -571,19 +572,17 @@ def transfer_bottom_layers(src, dst, k):
     leave at least one destination layer untouched.
     """
     if not 0 <= k < len(dst.layers):
-        raise ValueError("k must be in [0, %d), got %d" % (len(dst.layers), k))
+        raise ValueError("can replace 0 to %d of the destination's %d layers, not %d"
+                         % (len(dst.layers) - 1, len(dst.layers), k))
     if k > len(src.layers):
         raise ValueError("source has only %d layers" % len(src.layers))
-    for i in range(k):
-        if src.layers[i].w.shape != dst.layers[i].w.shape:
-            raise ValueError(
-                "layer %d shape mismatch: %r vs %r"
-                % (i, src.layers[i].w.shape, dst.layers[i].w.shape)
-            )
+    for i, (a, b) in enumerate(zip(src.layers[:k], dst.layers[:k])):
+        if a.w.shape != b.w.shape:
+            raise ValueError("layer %d shape mismatch: %r vs %r" % (i, a.w.shape, b.w.shape))
+    # _layout puts the bottom k layers first, each as its w and then its b
+    n = sum(l.w.size + l.b.size for l in dst.layers[:k])
     out = dst.copy()
-    for i in range(k):
-        out.layers[i].w[...] = src.layers[i].w
-        out.layers[i].b[...] = src.layers[i].b
+    out.flat[:n] = src.flat[:n]
     return out
 
 
@@ -592,11 +591,10 @@ def save_network(net, path):
 
     Layout: magic "WNET", u32 format version, u32 header length, a JSON
     structure header (mode, lookahead, dims, down-sampling counts, labels),
-    then `net.flat` as raw little-endian float64: per layer the row-major
-    (4H, D+H) weights `w` (gates i, f, o, g, each with its input columns
-    first) and the (4H,) bias `b`, then the softmax weights and bias.
-    Round-trips are bit-exact.  load_network rejects a header whose
-    lookahead is not the one its mode fixes, and a non-finite parameter.
+    then `net.flat` as raw little-endian float64, its arrays row-major in
+    the order `_layout` states.  Round-trips are bit-exact.  load_network
+    rejects a header whose lookahead is not the one its mode fixes, and a
+    non-finite parameter.
     """
     header = {
         "mode": net.mode,
@@ -633,15 +631,7 @@ def load_network(path):
         if not isinstance(labels, list):
             raise ValueError("labels must be a list of strings, not a %s" % type(labels).__name__)
         vocab = Vocabulary(tuple(labels), header["reserved"])
-        d, *hidden_dims = _ints("dimensions", [header["input_dim"], *header["hidden_dims"]])
-        if d < 1 or min(hidden_dims, default=1) < 1:
-            raise ValueError("dimensions %r must be positive; an LSTM layer needs at least "
-                             "one hidden unit" % ([d, *hidden_dims],))
-        shapes = []
-        for h in hidden_dims:
-            shapes += [(4 * h, d + h), (4 * h,)]
-            d = h
-        shapes += [(vocab.size, d), (vocab.size,)]
+        shapes = _layout(header["input_dim"], header["hidden_dims"], vocab.size)
         # the header's dimensions are checked against the payload before
         # anything of their size is allocated
         missing = offset + 8 * sum(math.prod(shape) for shape in shapes) - len(data)
@@ -655,9 +645,8 @@ def load_network(path):
         if not finite.all():
             raise NetworkFormatError("%s: non-finite parameter at byte %d"
                                      % (path, offset + 8 * int(np.argmin(finite))))
-        *stacked, w_out, b_out = _views(flat, shapes)
-        layers = [LSTMLayer(w, b) for w, b in zip(stacked[::2], stacked[1::2])]
-        net = Network(layers, header["downsample"], w_out, b_out, vocab, header["mode"])
+        net = Network(flat, header["input_dim"], header["hidden_dims"], header["downsample"],
+                      vocab, header["mode"])
         if _ints("lookahead", [header["lookahead"]]) != (net.lookahead,):
             raise ValueError("lookahead %r does not fit mode %r" % (header["lookahead"], net.mode))
     except NetworkFormatError:

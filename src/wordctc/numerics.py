@@ -28,21 +28,20 @@ def global_norm(arrays):
     return math.sqrt(sum(float(np.sum(np.square(a))) for a in arrays))
 
 
-def clip_global_norm(grads, max_norm):
-    """Scale a collection of arrays so their joint L2 norm is at most max_norm.
+def clip_global_norm(grad, max_norm):
+    """Scale a gradient vector so its L2 norm is at most max_norm.
 
-    Returns (grads, factor).  The inputs come back untouched with factor 1.0
+    Returns (grad, factor).  The input comes back untouched with factor 1.0
     when the norm is already inside the bound; the comparison carries a 1e-12
-    relative slack so clipping an already-clipped collection is a no-op.  A
+    relative slack so clipping an already-clipped vector is a no-op.  A
     non-finite norm cannot be clipped and raises FloatingPointError.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    grads = list(grads)
-    norm = global_norm(grads)
+    norm = global_norm([grad])
     if not math.isfinite(norm):
         raise FloatingPointError("gradient norm is %r" % norm)
     if norm <= max_norm * (1.0 + 1e-12):
-        return grads, 1.0
+        return grad, 1.0
     factor = max_norm / norm
-    return [g * factor for g in grads], factor
+    return grad * factor, factor

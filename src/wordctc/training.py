@@ -248,7 +248,7 @@ def train(model, train_utterances, dev_utterances, cfg):
                         raise TrainingError("%s: loss is %r" % (where, loss))
                     grads, _ = network_backward(model, tape, d_logits)
                     try:
-                        (step,), factor = clip_global_norm([grads.flat], cfg.clip_norm)
+                        step, factor = clip_global_norm(grads.flat, cfg.clip_norm)
                     except FloatingPointError as exc:
                         raise TrainingError("%s: %s" % (where, exc)) from None
                 try:

@@ -227,6 +227,27 @@ class TestTrain:
         assert "%s: no word" % corpus in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("split, drop", [("dev", None), ("train", None), ("train", 1)],
+                             ids=["dev-file-missing", "train-file-missing", "partial-file"])
+    def test_frame_classifier_needs_every_alignment(self, tmp_path, data_dir, capsys, monkeypatch,
+                                                    split, drop):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        align = data / split / "align.tsv"
+        if drop is None:
+            align.unlink()
+            message = "%s: no such file" % align
+        else:
+            lines = align.read_text().splitlines(keepends=True)
+            align.write_text("".join(lines[:drop] + lines[drop + 1 :]))
+            message = "%s: no alignment for utterance %r" % (align, lines[drop].split("\t")[0])
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+        out = tmp_path / "out"
+        assert run("train", "--data", data, "--out-dir", out, *TINY_TRAIN,
+                   "--mode", "frame-classifier", "--downsample", "1") == 3
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_transfer_init(self, tmp_path, data_dir):
         phone = tmp_path / "phone"
         assert run("train", "--data", data_dir, "--out-dir", phone,
@@ -461,6 +482,21 @@ def _wide_checkpoint(data):
             [re.escape(str(source)), re.escape(str(data / "train")), "dimension 4 .* 5"])
 
 
+def _narrow_checkpoint(data):
+    # a 2x8 transfer source under a 3x12 word model: layer 0 is (32, 12) there, (48, 16) here
+    source = data / "narrow.net"
+    save_network(Network.random(4, [8, 8], Vocabulary(("a", "b")), "phoneme-ctc", seed=0), source)
+    return (["--init-from", source, "--init-layers", "2", "--layers", "3", "--hidden", "12"],
+            ["--init-from " + re.escape(str(source)), "layer 0 shape mismatch"])
+
+
+def _all_layers_transferred(data):
+    source = data / "source.net"
+    save_network(Network.random(4, [10, 10], Vocabulary(("a", "b")), "phoneme-ctc", seed=0), source)
+    return (["--init-from", source, "--init-layers", "2"],
+            [re.escape(str(source)), "--init-layers 2: can replace 0 to 1 of the destination's 2"])
+
+
 def _diverge(data):
     return ["--phase1-lr", "1e300", "--clip-norm", "1e300"], [r"epoch 1: utterance train-\d+"]
 
@@ -473,7 +509,8 @@ def _overflow_update(data):
 class TestTrainFailureModes:
     @pytest.mark.parametrize("damage, code", [
         (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_narrow_dev, 4),
-        (_wide_checkpoint, 4), (_diverge, 5), (_overflow_update, 5),
+        (_wide_checkpoint, 4), (_narrow_checkpoint, 4), (_all_layers_transferred, 4),
+        (_diverge, 5), (_overflow_update, 5),
     ])
     def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, recwarn,
                                               damage, code):

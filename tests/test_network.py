@@ -610,6 +610,24 @@ class TestFlatParameters:
         assert net.flat[0] == 7.0
         assert net.flat[-net.b_out.size - 1] == -7.0
 
+    def test_constructor_wraps_the_given_vector(self):
+        flat = tiny_net(seed=3).flat.copy()
+        net = Network(flat, 4, [8, 8], (0, 1), VOCAB, "word-ctc")
+        assert net.flat is flat
+        assert all(np.shares_memory(p, flat) for p in net.params())
+        flat[0], flat[-1] = 7.0, -7.0
+        assert net.layers[0].w[0, 0] == 7.0 and net.b_out[-1] == -7.0
+
+    @pytest.mark.parametrize("bad", [
+        lambda v: v[:-1], lambda v: np.append(v, 0.0), lambda v: v.reshape(1, -1),
+        lambda v: v.astype(np.float32), lambda v: v.tolist(),
+    ], ids=["short", "long", "2-d", "float32", "list"])
+    def test_constructor_refuses_a_bad_vector_before_any_view(self, monkeypatch, bad):
+        flat = bad(tiny_net().flat.copy())
+        monkeypatch.setattr(network, "_views", lambda *args: pytest.fail("a view was made"))
+        with pytest.raises(ValueError, match="float64 vector of"):
+            Network(flat, 4, [8, 8], (0, 1), VOCAB, "word-ctc")
+
     def test_copies_share_no_memory(self):
         src, dst = tiny_net(seed=1), tiny_net(seed=2)
         copy = dst.copy()
