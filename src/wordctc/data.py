@@ -127,6 +127,8 @@ def load_features(path):
         raise FeatureFileError("%s: bad magic %r" % (path, magic))
     if version != FEAT_VERSION:
         raise FeatureFileError("%s: unsupported feature version %d" % (path, version))
+    if dim == 0:
+        raise FeatureFileError("%s: feature dimension is 0" % path)
     expected = _FEAT_HEADER.size + 4 * n_frames * dim
     if len(data) < expected:
         raise TruncatedFileError(
@@ -152,7 +154,8 @@ def read_lines(path):
     not decode is a ManifestError naming the file and its line."""
     # surrogateescape turns each byte b that does not decode into U+DC00 + b
     text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # only "\n" ends a line, so a line's number counts the newlines before it
+    for lineno, line in enumerate(text.split("\n"), 1):
         try:
             line.encode("utf-8")
         except UnicodeEncodeError as exc:

@@ -211,6 +211,11 @@ class LayerTape:
     hidden: np.ndarray
 
 
+def _steps(a, at, m, b):
+    """m steps of b rows of `a` from row `at`: rows when b is 1, else (b, X) blocks."""
+    return a[at : at + m] if b == 1 else a[at : at + m * b].reshape(m, b, -1)
+
+
 def lstm_forward(layer, inputs, lengths=None):
     """Run the recurrence from zero initial state over packed sequences.
 
@@ -222,10 +227,12 @@ def lstm_forward(layer, inputs, lengths=None):
     The input projection precedes the recurrence (Appleyard et al.,
     arXiv:1604.01946).  A batch projects one block of whole steps at a
     time, at most MAX_BATCH_BYTES // 8 of gates, and keeps one cell row per
-    sequence.  One-row steps take their rows from one `zip`, so they index
-    nothing.  A batch of one sequence gives the taped outputs bit for bit
-    while its rows fit one gate block; past that, a block's projection can
-    round differently, within 1e-12 in the tests.
+    sequence.  Within a block, each run of steps of one width takes its
+    rows from one `zip`, so the steps index nothing; the state before step
+    0 is stored as zeros, so every step runs the same body.  A batch of one
+    sequence gives the taped outputs bit for bit while its rows fit one
+    gate block; past that, a block's projection can round differently,
+    within 1e-12 in the tests.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -241,18 +248,18 @@ def lstm_forward(layer, inputs, lengths=None):
     width = sizes[0] if N else 0
     # only a batch of several sequences has steps of several rows to read it
     whT = np.ascontiguousarray(whc.T) if width > 1 else None
-    h = np.empty((N, H))
+    # the state before step 0 is zeros (only it; the rest is written first):
+    # `width` hidden rows before h's, a batch's cell rows or one before the tape's
+    hz = np.empty((width + N, H))
+    h = hz[width:]
+    c = np.empty((N + 1 if keep else width, H))
+    hz[:width] = c[:width] = 0
+    tc = np.empty((N, H)) if keep else h
     tmp = np.empty((width, H))
     rec = np.empty((width, 4 * H))
     block_rows = N if keep else max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
-    c = np.empty((N if keep else width, H))
-    tc = np.empty((N, H)) if keep else h
     gates = np.empty((min(N, block_rows), 4 * H))
-    # the sigmoid gates i, f and o, then the candidate g
-    sig, cand = gates[:, : 3 * H], gates[:, 3 * H :]
-    i, f, o = (gates[:, k * H : (k + 1) * H] for k in range(3))
     starts = np.cumsum([0] + sizes[:-1]).tolist()
-    wide = T - sizes.count(1)  # steps of several rows
     # blocks of whole steps
     firsts = [0] if T else []
     for t in range(1, T):
@@ -263,50 +270,38 @@ def lstm_forward(layer, inputs, lengths=None):
         n = starts[stop - 1] + sizes[stop - 1] - lo
         np.matmul(x[lo : lo + n], wx, out=gates[:n])
         gates[:n] += layer.b
-        # per step: gate blocks, cell, previous cell (None at step 0), tanh
-        # cell and hidden rows, the recurrent product's factors, and buffers
-        steps = []
-        for t in range(first, min(stop, wide)):
-            r, b, k = starts[t], sizes[t], starts[t] - lo
-            p = starts[t - 1] if t else None
-            cell = c[:b]
-            steps.append((
-                gates[k : k + b], sig[k : k + b], cand[k : k + b],
-                i[k : k + b], f[k : k + b], o[k : k + b],
-                cell, None if p is None else cell, tc[r : r + b], h[r : r + b],
-                None if p is None else h[p : p + b], whT, tmp[:b], rec[:b],
-            ))
-        u = max(first, wide)
-        if u < stop:
-            # one row a step, each following the row before it, except that
-            # the first follows the first row of a wider step, if any
-            r, k, end = starts[u], starts[u] - lo, lo + n
-            p = starts[u - 1] if u else None
-            # one sequence keeps every step's cell row; a batch updates one in place
-            cells = c if keep else repeat(c[0])
-            prev_cells = chain([None if p is None else c[0]], c[:-1] if keep else repeat(c[0]))
-            steps = chain(steps, zip(
-                gates[k:n], sig[k:n], cand[k:n], i[k:n], f[k:n], o[k:n],
-                cells, prev_cells, tc[r:end], h[r:end],
-                repeat(whc), chain([None if p is None else h[p]], h[r : end - 1]),
-                repeat(tmp[0]), repeat(rec[0]),
-            ))
-        for a, sg, gg, ig, fg, og, cell, cp, out, hr, left, right, tm, rc in steps:
-            if cp is not None:
-                # whc . h_prev for one row, h_prev . whT for several
+        # runs of steps of one width b, whose rows are contiguous
+        cuts = [t for t in range(first + 1, stop) if sizes[t] != sizes[t - 1]]
+        for u, v in zip([first, *cuts], [*cuts, stop]):
+            b, r, m = sizes[u], starts[u], v - u
+            g = _steps(gates, r - lo, m, b)
+            hr = _steps(h, r, m, b)
+            # step u follows the first b rows of step u - 1 or of the zero
+            # block; whc . h_prev for one row, h_prev . whT for several
+            prev = chain(_steps(hz, width + starts[u - 1] if u else 0, 1, b), hr[:-1])
+            mats = (repeat(whc), prev) if b == 1 else (prev, repeat(whT))
+            # one sequence keeps every step's cell row; a batch updates one in
+            # place, as one view that numpy need not check for overlap
+            if keep:
+                cells, prev_cells = c[r + 1 : r + 1 + m], c[r : r + m]
+            else:
+                cells = prev_cells = repeat(_steps(c, 0, 1, b)[0])
+            for a, sg, gg, ig, fg, og, cell, cp, out, hrow, left, right, tm, rc in zip(
+                g, g[..., : 3 * H], g[..., 3 * H :],
+                g[..., :H], g[..., H : 2 * H], g[..., 2 * H : 3 * H],
+                cells, prev_cells, _steps(tc, r, m, b), hr, *mats,
+                repeat(_steps(tmp, 0, 1, b)[0]), repeat(_steps(rec, 0, 1, b)[0]),
+            ):
                 np.dot(left, right, out=rc)
                 a += rc
-            expit(sg, out=sg)
-            np.tanh(gg, out=gg)
-            if cp is None:  # no previous cell
-                np.multiply(ig, gg, out=cell)
-            else:
+                expit(sg, out=sg)  # the sigmoid gates i, f and o
+                np.tanh(gg, out=gg)  # the candidate g
                 np.multiply(fg, cp, out=cell)
                 np.multiply(ig, gg, out=tm)
                 cell += tm
-            np.tanh(cell, out=out)
-            np.multiply(og, out, out=hr)
-    return h, (LayerTape(x, gates, c, tc, h) if keep else None)
+                np.tanh(cell, out=out)
+                np.multiply(og, out, out=hrow)
+    return h, (LayerTape(x, gates, c[1:], tc, h) if keep else None)
 
 
 def lstm_backward(layer, tape, d_hidden):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import InfeasibleTargetError, ctc_loss_and_gradient, greedy_decode
+from .ctc import InfeasibleTargetError, ctc_loss_and_gradient, greedy_decode, min_frames
 from .data import Utterance
 from .metrics import edit_distance, error_rate, frame_errors, pool
 from .network import (
@@ -200,10 +200,12 @@ def train(model, train_utterances, dev_utterances, cfg):
     """Run the two-phase recipe; returns the best-on-dev model and epoch log.
 
     Every epoch shuffles the utterance order deterministically from
-    cfg.seed.  Infeasible utterances are skipped with a logged warning and
-    counted in the epoch record; an epoch with no usable utterance raises
-    TrainingError, and so do a non-finite loss or gradient norm, before the
-    update it would corrupt, and an update that overflows.
+    cfg.seed.  Infeasible utterances, whose target needs more frames than
+    their lattice has, are skipped with a logged warning and counted in the
+    epoch record; an epoch with no usable utterance raises TrainingError,
+    and so do a lattice that gives a target it has frames for zero
+    probability, a non-finite loss or gradient norm, before the update it
+    would corrupt, and an update that overflows.
     """
     if not train_utterances or not dev_utterances:
         raise ValueError("train and dev sets must be nonempty")
@@ -241,6 +243,12 @@ def train(model, train_utterances, dev_utterances, cfg):
                         lattice, tape = network_forward(model, features)
                         loss, d_logits, n = _loss(model, lattice, target)
                     except (InfeasibleTargetError, SequenceTooShortError) as exc:
+                        # zero probability for a target the lattice has
+                        # frames for means the network has diverged
+                        if (isinstance(exc, InfeasibleTargetError)
+                                and min_frames(target) <= len(lattice)):
+                            raise TrainingError("%s: the %d-frame lattice gives the target zero "
+                                                "probability" % (where, len(lattice))) from None
                         skipped += 1
                         log.warning("epoch %d: skipping %s: %s", epoch, utt_id, exc)
                         continue

@@ -501,6 +501,18 @@ def _diverge(data):
     return ["--phase1-lr", "1e300", "--clip-norm", "1e300"], [r"epoch 1: utterance train-\d+"]
 
 
+def _zero_probability(data):
+    # logits overflow to -inf for the target's words before any update overflows
+    return ["--phase1-lr", "1e307"], [r"^wordctc train: epoch 1: utterance train-\d+: "
+                                      r"the \d+-frame lattice gives the target zero probability$"]
+
+
+def _zero_dim_frame(data):
+    feat = sorted((data / "train" / "feats").glob("*.feat"))[1]
+    save_features(feat, np.zeros((5, 0), dtype=np.float32))
+    return [], [re.escape(str(feat)), "feature dimension is 0"]
+
+
 def _overflow_update(data):
     # the step overflows a parameter; the next forward would meet infinite logits
     return ["--phase1-lr", "1e308"], [r"epoch 1: utterance train-\d+: update at step size"]
@@ -508,9 +520,9 @@ def _overflow_update(data):
 
 class TestTrainFailureModes:
     @pytest.mark.parametrize("damage, code", [
-        (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_narrow_dev, 4),
-        (_wide_checkpoint, 4), (_narrow_checkpoint, 4), (_all_layers_transferred, 4),
-        (_diverge, 5), (_overflow_update, 5),
+        (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_zero_dim_frame, 3),
+        (_narrow_dev, 4), (_wide_checkpoint, 4), (_narrow_checkpoint, 4),
+        (_all_layers_transferred, 4), (_diverge, 5), (_zero_probability, 5), (_overflow_update, 5),
     ])
     def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, recwarn,
                                               damage, code):

@@ -80,6 +80,15 @@ class TestFeatureFiles:
         with pytest.raises(TruncatedFileError, match="byte 30"):
             load_features(tmp_path / "x.feat")
 
+    def test_zero_dimension_rejected(self, tmp_path):
+        # T = 0 stays legal; d = 0 does not, whatever T is
+        save_features(tmp_path / "x.feat", np.zeros((0, 3), dtype=np.float32))
+        assert load_features(tmp_path / "x.feat").shape == (0, 3)
+        for n_frames in (0, 7):
+            save_features(tmp_path / "x.feat", np.zeros((n_frames, 0), dtype=np.float32))
+            with pytest.raises(FeatureFileError, match="x.feat: feature dimension is 0"):
+                load_features(tmp_path / "x.feat")
+
     def test_trailing_bytes_rejected(self, tmp_path):
         feats = np.ones((2, 2), dtype=np.float32)
         save_features(tmp_path / "x.feat", feats)
@@ -133,6 +142,10 @@ class TestCorpusIO:
             load_transcripts(tmp_path / "bad.tsv")
 
 
+# the UTF-8 bytes of every character but "\n" and "\r" that str.splitlines breaks at
+LINE_BREAKS = [c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+
+
 def _three_utterances(root):
     """A corpus of u0-u2, one word each with per-frame labels, a transcripts
     file hyp.tsv of the same ids, and a lexicon.tsv of their words."""
@@ -160,10 +173,16 @@ def _three_utterances(root):
     ("align.tsv", {3: b"u2\tw2 \xfe"}, 3),
     ("lexicon.tsv", {2: b"w1\tp\xff"}, 2),
     ("hyp.tsv", {3: b"u2\t\xc3"}, 3),
+    # only "\n" ends a line: a line holding another line break character
+    # that str.splitlines knows, or ending in "\r", is one line
+    *[("hyp.tsv", {2: b"u1\tw1" + char + b"u9\tw9", 3: b"u2"}, 3) for char in LINE_BREAKS],
+    ("hyp.tsv", {1: b"u0\tw0\r", 2: b"u1\tw1\r", 3: b"u1\tw1\r"}, 3),
 ], ids=["corpus-count", "corpus-duplicate", "align-count", "align-duplicate",
         "align-unknown-utterance", "transcripts-count", "transcripts-duplicate",
         "corpus-first-of-two", "transcripts-first-of-two", "count-before-bad-byte",
-        "corpus-not-utf8", "align-not-utf8", "lexicon-not-utf8", "transcripts-not-utf8"])
+        "corpus-not-utf8", "align-not-utf8", "lexicon-not-utf8", "transcripts-not-utf8",
+        *["after-%s" % char.decode().encode("unicode_escape").decode()[1:]
+          for char in LINE_BREAKS], "crlf"])
 def test_malformed_record_names_file_and_line(tmp_path, name, edits, line):
     _three_utterances(tmp_path)
     path = tmp_path / name
@@ -178,9 +197,9 @@ def test_malformed_record_names_file_and_line(tmp_path, name, edits, line):
 
 
 def test_not_utf8_names_the_byte_after_other_line_breaks(tmp_path):
-    # lines are numbered as str.splitlines numbers them, as for a file that decodes
+    # lines are numbered by the newlines before them, as for a file that decodes
     path = tmp_path / "hyp.tsv"
-    path.write_bytes(b"u0\ta\r\nu1\tb\ru2\tc\xff\n")
+    path.write_bytes(b"u0\ta\r\nu1\tb\rc\x1cd\nu2\tc\xff\n")
     with pytest.raises(ManifestError, match="line 3: byte 0xff is not UTF-8"):
         load_transcripts(path)
 

@@ -1,4 +1,5 @@
-"""The quick demos and the README's library tour match the current library API."""
+"""The quick demos and the README's library tour match the current library API,
+and tools/parity.py runs its whole pipeline."""
 
 import importlib
 import re
@@ -24,3 +25,19 @@ def test_readme_library_tour_names_resolve():
     stale = [(module, name) for module, text in rows for name in re.findall(r"`(\w+)`", text)
              if not hasattr(importlib.import_module(module), name)]
     assert not stale
+
+
+def test_parity_script_recognises_words_and_phonemes(tmp_path, monkeypatch):
+    # run_all changes into its output directory; monkeypatch changes back
+    monkeypatch.chdir(tmp_path)
+    parity = runpy.run_path(str(ROOT / "tools" / "parity.py"))
+    out = tmp_path / "out"
+    assert parity["run_all"](out) == 0
+    logs = sorted(out.glob("*.stdout"))
+    assert len(logs) == len(parity["STEPS"])
+    assert all(log.read_text().endswith("exit 0\n") for log in logs)
+    for model in ("word", "phone"):
+        hyps = (out / ("dec-%s" % model) / "hypotheses.tsv").read_text().splitlines()
+        assert any(line.split("\t")[1] for line in hyps), model
+    assert (out / "ana" / "overlap_histogram.tsv").exists()
+    assert "overlap_permutation_pvalue" in (out / "ana" / "summary.tsv").read_text()

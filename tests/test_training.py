@@ -158,6 +158,18 @@ class TestSkipping:
         with pytest.raises(TrainingError):
             train(small_model(word_vocab), [bad], corpus.dev, cfg)
 
+    def test_zero_probability_with_frames_enough_stops_training(self, corpus, word_vocab, caplog):
+        # every word's logit sits 2e308 below the blank's, so log_softmax
+        # gives each word -inf: a diverged network, not a short utterance
+        model = small_model(word_vocab)
+        model.b_out[:] = -1e308
+        model.b_out[model.vocab.blank_id] = 1e308
+        cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, seed=0)
+        with pytest.raises(TrainingError, match=r"^epoch 1: utterance train-\d+: the \d+-frame "
+                                                r"lattice gives the target zero probability$"):
+            train(model, corpus.train, corpus.dev, cfg)
+        assert "skipping" not in caplog.text
+
     def test_mode_mismatch_rejected(self, corpus, word_vocab):
         cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, seed=0, mode="phoneme-ctc")
         with pytest.raises(ValueError):
