@@ -6,7 +6,9 @@ File formats (all integers little-endian, all text UTF-8, tab-separated):
                then T*d float32 values row-major.
   corpus.tsv   one utterance per line: id, feature path (relative to the
                manifest), space-separated transcript.
-  lexicon.tsv  one word per line: word, space-separated phonemes.
+  lexicon.tsv  one word per line: word, space-separated phonemes; a word
+               is one token, neither the CTC blank nor SIL, and no
+               phoneme is the blank.
   align.tsv    one utterance per line: id, space-separated per-frame word
                labels (SIL marks silence).
 
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .ctc import collapse
+from .ctc import BLANK, collapse
 
 SIL = "SIL"
 
@@ -210,12 +212,20 @@ def save_lexicon(lexicon, path):
 
 def load_lexicon(path):
     """Read a lexicon; a word listed more than once keeps its first
-    (canonical) pronunciation."""
+    (canonical) pronunciation.  A word is one token, so that it reads back
+    from a transcript, and neither it nor a phoneme is the CTC blank, nor
+    the word SIL, which marks silence in alignments."""
     entries = {}
     for lineno, (word, phonemes) in _records(path, (2,)):
         pron = tuple(phonemes.split())
         if not pron:
             raise ManifestError("%s line %d: empty pronunciation for %r" % (path, lineno, word))
+        if word.split() != [word]:
+            raise ManifestError("%s line %d: word %r is empty or holds whitespace"
+                                % (path, lineno, word))
+        if word in (BLANK, SIL) or BLANK in pron:
+            raise ManifestError("%s line %d: %r is a reserved symbol"
+                                % (path, lineno, BLANK if BLANK in pron else word))
         entries.setdefault(word, pron)
     return Lexicon(entries)
 
@@ -239,8 +249,9 @@ def load_corpus(corpus_dir, known_words=None):
     """Read a corpus directory written by save_corpus; it must list at least
     one utterance.
 
-    Every feature file must have the same dimension.  When known_words is
-    given, every transcript word must be in it.
+    Every feature file must be readable, or the error names its corpus.tsv
+    line, and have the same dimension.  When known_words is given, every
+    transcript word must be in it.
     Alignments (when present) must have one label per frame and collapse to
     the transcript.
     """
@@ -262,7 +273,11 @@ def load_corpus(corpus_dir, known_words=None):
                     raise UnknownWordError(
                         "%s line %d: unknown word %r" % (manifest, lineno, w)
                     )
-        features = load_features(root / rel)
+        try:
+            features = load_features(root / rel)
+        except OSError as exc:
+            raise ManifestError("%s line %d: cannot read %s: %s"
+                                % (manifest, lineno, root / rel, exc.strerror)) from None
         if utterances and features.shape[1] != utterances[0].features.shape[1]:
             raise ManifestError(
                 "%s: feature dimension %d does not match the corpus's %d"

@@ -225,27 +225,30 @@ def lstm_forward(layer, inputs, lengths=None):
     outputs and the tape backpropagation reads, or None for a batch's.
 
     The input projection precedes the recurrence (Appleyard et al.,
-    arXiv:1604.01946).  A batch projects one block of whole steps at a
-    time, at most MAX_BATCH_BYTES // 8 of gates, and keeps one cell row per
-    sequence.  Within a block, each run of steps of one width takes its
-    rows from one `zip`, so the steps index nothing; the state before step
-    0 is stored as zeros, so every step runs the same body.  A batch of one
-    sequence gives the taped outputs bit for bit while its rows fit one
-    gate block; past that, a block's projection can round differently,
-    within 1e-12 in the tests.
+    arXiv:1604.01946).  The steps fall into runs of one width, whose rows
+    are contiguous; each run is projected and stepped in blocks of whole
+    steps, at most MAX_BATCH_BYTES // 8 of gates, and a block's steps take
+    their rows from one `zip`, so they index nothing.  One sequence is one
+    run in one block and keeps every step's cell row; a batch keeps one
+    cell row per sequence.  The state before step 0 is stored as zeros, so
+    every step runs the same body.  A batch of one sequence gives the taped
+    outputs bit for bit while its rows fit one gate block; past that, a
+    block's projection can round differently, within 1e-12 in the tests.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
         raise ValueError("expected (N, %d) inputs, got %r" % (layer.input_dim, x.shape))
     N = x.shape[0]
     keep = lengths is None
-    sizes = [1] * N if keep else _batch_sizes(lengths, N).tolist()
+    sizes = np.ones(N, dtype=np.int64) if keep else _batch_sizes(lengths, N)
+    # the runs of steps of one width, as (rows a step, steps)
+    run = np.flatnonzero(np.diff(sizes, prepend=0))
+    runs = zip(sizes[run].tolist(), np.diff(run, append=len(sizes)).tolist())
     H = layer.hidden_dim
     D = layer.input_dim
     wx = layer.w[:, :D].T
     whc = np.ascontiguousarray(layer.w[:, D:])
-    T = len(sizes)
-    width = sizes[0] if N else 0
+    width = int(sizes[0]) if N else 0
     # only a batch of several sequences has steps of several rows to read it
     whT = np.ascontiguousarray(whc.T) if width > 1 else None
     # the state before step 0 is zeros (only it; the rest is written first):
@@ -259,26 +262,19 @@ def lstm_forward(layer, inputs, lengths=None):
     rec = np.empty((width, 4 * H))
     block_rows = N if keep else max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
     gates = np.empty((min(N, block_rows), 4 * H))
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-    # blocks of whole steps
-    firsts = [0] if T else []
-    for t in range(1, T):
-        if starts[t] + sizes[t] - starts[firsts[-1]] > block_rows:
-            firsts.append(t)
-    for first, stop in zip(firsts, firsts[1:] + [T]):
-        lo = starts[first]
-        n = starts[stop - 1] + sizes[stop - 1] - lo
-        np.matmul(x[lo : lo + n], wx, out=gates[:n])
-        gates[:n] += layer.b
-        # runs of steps of one width b, whose rows are contiguous
-        cuts = [t for t in range(first + 1, stop) if sizes[t] != sizes[t - 1]]
-        for u, v in zip([first, *cuts], [*cuts, stop]):
-            b, r, m = sizes[u], starts[u], v - u
-            g = _steps(gates, r - lo, m, b)
+    # r is the block's first row and pb the width of the step before it,
+    # whose first rows in hz are the block's previous hidden state
+    r, pb = 0, width
+    for b, n_steps in runs:
+        per = block_rows // b
+        for done in range(0, n_steps, per):
+            m = min(per, n_steps - done)
+            np.matmul(x[r : r + m * b], wx, out=gates[: m * b])
+            gates[: m * b] += layer.b
+            g = _steps(gates, 0, m, b)
             hr = _steps(h, r, m, b)
-            # step u follows the first b rows of step u - 1 or of the zero
-            # block; whc . h_prev for one row, h_prev . whT for several
-            prev = chain(_steps(hz, width + starts[u - 1] if u else 0, 1, b), hr[:-1])
+            # whc . h_prev for one row, h_prev . whT for several
+            prev = chain(_steps(hz, width + r - pb, 1, b), hr[:-1])
             mats = (repeat(whc), prev) if b == 1 else (prev, repeat(whT))
             # one sequence keeps every step's cell row; a batch updates one in
             # place, as one view that numpy need not check for overlap
@@ -301,6 +297,7 @@ def lstm_forward(layer, inputs, lengths=None):
                 cell += tm
                 np.tanh(cell, out=out)
                 np.multiply(og, out, out=hrow)
+            r, pb = r + m * b, b
     return h, (LayerTape(x, gates, c[1:], tc, h) if keep else None)
 
 

@@ -513,6 +513,34 @@ def _zero_dim_frame(data):
     return [], [re.escape(str(feat)), "feature dimension is 0"]
 
 
+def _missing_dev_feat(data):
+    feat = sorted((data / "dev" / "feats").glob("*.feat"))[0]
+    feat.unlink()
+    return [], [re.escape("%s line " % (data / "dev" / "corpus.tsv")), re.escape(str(feat))]
+
+
+def _lexicon_entry(data, entry):
+    """Append `entry` to the lexicon; the patterns of a message that names its line."""
+    lexicon = data / "lexicon.tsv"
+    line = lexicon.read_text().count("\n") + 1
+    with lexicon.open("a") as fh:
+        fh.write(entry + "\n")
+    return [re.escape("%s line %d: " % (lexicon, line)), "reserved"]
+
+
+def _sil_word(data):
+    # the frame classifier's own label for silence
+    return ["--mode", "frame-classifier"], _lexicon_entry(data, "SIL\tp01")
+
+
+def _blank_phoneme(data):
+    return ["--mode", "phoneme-ctc"], _lexicon_entry(data, "w99\tp01 <blk>")
+
+
+def _blank_word(data):
+    return [], _lexicon_entry(data, "<blk>\tp01")
+
+
 def _overflow_update(data):
     # the step overflows a parameter; the next forward would meet infinite logits
     return ["--phase1-lr", "1e308"], [r"epoch 1: utterance train-\d+: update at step size"]
@@ -521,6 +549,7 @@ def _overflow_update(data):
 class TestTrainFailureModes:
     @pytest.mark.parametrize("damage, code", [
         (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_zero_dim_frame, 3),
+        (_missing_dev_feat, 3), (_sil_word, 3), (_blank_phoneme, 3), (_blank_word, 3),
         (_narrow_dev, 4), (_wide_checkpoint, 4), (_narrow_checkpoint, 4),
         (_all_layers_transferred, 4), (_diverge, 5), (_zero_probability, 5), (_overflow_update, 5),
     ])

@@ -177,12 +177,24 @@ def _three_utterances(root):
     # that str.splitlines knows, or ending in "\r", is one line
     *[("hyp.tsv", {2: b"u1\tw1" + char + b"u9\tw9", 3: b"u2"}, 3) for char in LINE_BREAKS],
     ("hyp.tsv", {1: b"u0\tw0\r", 2: b"u1\tw1\r", 3: b"u1\tw1\r"}, 3),
+    # a word must read back from a transcript as itself
+    ("lexicon.tsv", {2: b"\tp1"}, 2),
+    ("lexicon.tsv", {3: b"w 2\tp2"}, 3),
+    # the CTC blank is no word or phoneme, and SIL, silence in align.tsv, no word
+    ("lexicon.tsv", {2: b"<blk>\tp1"}, 2),
+    ("lexicon.tsv", {3: b"w2\tp2 <blk>"}, 3),
+    ("lexicon.tsv", {2: b"SIL\tp1"}, 2),
+    # a feature file that cannot be read is blamed on its corpus.tsv line
+    ("corpus.tsv", {2: b"u1\tfeats/gone.feat\tw1"}, 2),
+    ("corpus.tsv", {3: b"u2\tfeats\tw2"}, 3),
 ], ids=["corpus-count", "corpus-duplicate", "align-count", "align-duplicate",
         "align-unknown-utterance", "transcripts-count", "transcripts-duplicate",
         "corpus-first-of-two", "transcripts-first-of-two", "count-before-bad-byte",
         "corpus-not-utf8", "align-not-utf8", "lexicon-not-utf8", "transcripts-not-utf8",
         *["after-%s" % char.decode().encode("unicode_escape").decode()[1:]
-          for char in LINE_BREAKS], "crlf"])
+          for char in LINE_BREAKS], "crlf",
+        "lexicon-empty-word", "lexicon-word-with-space", "lexicon-blank-word",
+        "lexicon-blank-phoneme", "lexicon-sil-word", "corpus-missing-feat", "corpus-feat-is-dir"])
 def test_malformed_record_names_file_and_line(tmp_path, name, edits, line):
     _three_utterances(tmp_path)
     path = tmp_path / name

@@ -250,22 +250,28 @@ class TestPackedLSTMForward:
         ([40, 33, 33, 17, 2], 10.0),    # weights x10: saturated gates
         ([41, 7, 3], 3.0),              # a long one-row tail after wider steps
     ])
-    def test_batch_matches_each_utterance(self, lengths, scale):
+    def test_batch_matches_each_utterance(self, monkeypatch, lengths, scale):
         rng = np.random.default_rng(len(lengths))
         layer = LSTMLayer(LSTMLayer.random(5, 6, rng).w * scale, rng.normal(size=24))
         seqs = [rng.normal(scale=scale, size=(n, 5)) for n in lengths]
         packed, lens = pack(seqs)
-        h, tape = lstm_forward(layer, packed, lens)
-        assert tape is None
-        for got, seq in zip(unpack(h, lens), seqs):
-            assert _close(got, _reference_lstm_forward(layer, seq)[0])
+        wants = [_reference_lstm_forward(layer, seq)[0] for seq in seqs]
+        # the default gate budget, then gate blocks of 4 rows of a 6-unit
+        # layer (or of the first step's rows, when wider), so that wide runs
+        # and the one-row tail split into several blocks of whole steps
+        for budget in (network.MAX_BATCH_BYTES, 8 * 4 * 4 * 6 * 8):
+            monkeypatch.setattr(network, "MAX_BATCH_BYTES", budget)
+            h, tape = lstm_forward(layer, packed, lens)
+            assert tape is None
+            for got, want in zip(unpack(h, lens), wants):
+                assert _close(got, want)
 
     @pytest.mark.parametrize("block_rows", [5, 16])
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     def test_tapeless_rows_equal_the_taped_kernel(self, monkeypatch, factor, block_rows):
         # gate blocks of block_rows rows of a 6-unit layer, so every layer's
-        # steps fall in several blocks, against the default budget, whose one
-        # block projects all rows in one product as the taped kernel does; 5
+        # runs fall in several blocks, against the default budget, whose
+        # blocks are the runs of one width, each projected in one product; 5
         # rows is narrower than the first step
         net = Network.random(4, [6] * 3, VOCAB, "word-ctc",
                              downsample=downsample_schedule(factor, 3), seed=factor)

@@ -2,7 +2,7 @@
 
     python3 tools/parity.py OUT
 
-writes into OUT, in about 5 seconds:
+writes into OUT, in about 6 seconds:
 
 - data/: a 150/12/12-utterance synthetic corpus (seed 0) of 51 words,
   1-3 words an utterance;
@@ -14,6 +14,10 @@ writes into OUT, in about 5 seconds:
 - dec-*/, sc-*/, ana/: test-split hypotheses of all three models, the word
   model's WER and the frame classifier's FER report, and the word model's
   overlap, blank and margin analyses;
+- dec-*-train/: training-split hypotheses of both CTC models, in batches
+  of about 1,600 to 6,500 rows a layer, so that lstm_forward projects and
+  steps their runs of one width in many gate blocks of 512 rows (the test
+  split's 598 frames fill at most two);
 - one NN-name.stdout per command, holding its stdout and exit code.
 
 Every model trains 4 epochs at step size 0.1, then 1 phase-2 epoch. That
@@ -61,6 +65,10 @@ STEPS = [
     ("analyze", ["analyze", "--model", "word/model.net", "--lexicon", "data/lexicon.tsv",
                  "--transcripts", "data/train/corpus.tsv", "--out-dir", "ana",
                  "--overlap", "--blank", "--margin"]),
+    ("decode-word-train", ["decode", "--model", "word/model.net", "--data", "data/train",
+                           "--out-dir", "dec-word-train"]),
+    ("decode-phone-train", ["decode", "--model", "phone/model.net", "--data", "data/train",
+                            "--out-dir", "dec-phone-train"]),
 ]
 
 
