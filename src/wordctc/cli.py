@@ -210,7 +210,7 @@ def _parse_config_file(path):
         if "=" not in line:
             raise ValueError("%s line %d: expected key=value" % (path, lineno))
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        values[key.strip().replace("-", "_")] = (lineno, value.strip())
     return values
 
 
@@ -219,10 +219,14 @@ def _resolve(schema, ns):
     by_name = {opt.name: opt for opt in schema}
     config_path = getattr(ns, "config", None)
     if config_path:
-        for key, raw in _parse_config_file(config_path).items():
+        for key, (lineno, raw) in _parse_config_file(config_path).items():
+            where = "%s line %d: %s" % (config_path, lineno, key)
             if key not in by_name:
-                raise ValueError("%s: unknown config key %r" % (config_path, key))
-            values[key] = by_name[key].type(raw)
+                raise ValueError("%s: unknown config key" % where)
+            try:
+                values[key] = by_name[key].type(raw)
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (where, exc)) from None
     for opt in schema:
         if hasattr(ns, opt.name):
             values[opt.name] = getattr(ns, opt.name)

@@ -491,8 +491,8 @@ def _widest_layer_bytes(net, n_frames):
 
 
 def forward_batches(net, features):
-    """(index, lattice) for every utterance in `features` that the network's
-    down-sampling can halve; shorter ones are skipped.
+    """(index, lattice) for every utterance in `features` whose lattice has
+    a row, len(f) >> m under the network's m halvings; others are skipped.
 
     Utterances run longest first, in batches of at most MAX_BATCH_BYTES
     (an utterance over it runs alone), and each lattice is yielded as soon
@@ -501,8 +501,7 @@ def forward_batches(net, features):
     copy, plus the input and hidden rows of its widest layer; the gate
     block lstm_forward reuses is a fixed MAX_BATCH_BYTES // 8 on top.
     """
-    shortest = max(1, 2 ** sum(net.downsample))
-    order = sorted((i for i, f in enumerate(features) if len(f) >= shortest),
+    order = sorted((i for i, f in enumerate(features) if len(f) >> sum(net.downsample)),
                    key=lambda i: -len(features[i]))
     batches, used = [], np.inf
     for i in order:
@@ -645,6 +644,7 @@ def load_network(path):
         raise
     except KeyError as exc:
         raise NetworkFormatError("%s: header has no key %s" % (path, exc)) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
+        # json.loads recurses once per nesting level of the header
         raise NetworkFormatError("%s: bad header (%s)" % (path, exc)) from None
     return net

@@ -15,13 +15,7 @@ import numpy as np
 from .ctc import InfeasibleTargetError, ctc_loss_and_gradient, greedy_decode, min_frames
 from .data import Utterance
 from .metrics import edit_distance, error_rate, frame_errors, pool
-from .network import (
-    SequenceTooShortError,
-    forward_batches,
-    network_backward,
-    network_forward,
-    sgd_update,
-)
+from .network import forward_batches, network_backward, network_forward, sgd_update
 from .numerics import clip_global_norm
 
 log = logging.getLogger(__name__)
@@ -196,93 +190,91 @@ def training_perplexity(model, utterances):
     return sum(losses) / n_labels
 
 
+def _feasible(model, features, target):
+    """Whether an utterance can train: its lattice, len(features) >> m rows
+    under m halvings, has a row and, under CTC, min_frames(target) rows."""
+    rows = len(features) >> sum(model.downsample)
+    return rows > 0 and (model.mode == "frame-classifier" or rows >= min_frames(target))
+
+
 def train(model, train_utterances, dev_utterances, cfg):
     """Run the two-phase recipe; returns the best-on-dev model and epoch log.
 
-    Every epoch shuffles the utterance order deterministically from
-    cfg.seed.  Infeasible utterances, whose target needs more frames than
-    their lattice has, are skipped with a logged warning and counted in the
-    epoch record; an epoch with no usable utterance raises TrainingError,
-    and so do a lattice that gives a target it has frames for zero
-    probability, a non-finite loss or gradient norm, before the update it
-    would corrupt, and an update that overflows.
+    The epochs run as one schedule of (phase, step size); phase 2 starts
+    from the best model of phase 1.  Every epoch shuffles all utterances
+    deterministically from cfg.seed.  Infeasible utterances, whose lattice
+    has fewer rows than their target needs, are found once, logged once
+    and skipped in every epoch, which counts them; TrainingError is raised
+    before the first epoch when the schedule is empty or every utterance is
+    infeasible, and during training at a lattice that gives a target it
+    has frames for zero probability, a non-finite loss or gradient norm,
+    before the update it would corrupt, and an update that overflows.
     """
     if not train_utterances or not dev_utterances:
         raise ValueError("train and dev sets must be nonempty")
     if cfg.mode != model.mode:
         raise ValueError("config mode %r != model mode %r" % (cfg.mode, model.mode))
+    schedule = ([(1, cfg.phase1_lr)] * cfg.phase1_epochs
+                + [(2, cfg.phase2_lr * cfg.phase2_decay ** k) for k in range(cfg.phase2_epochs)])
+    if not schedule:
+        raise TrainingError("no epochs were run")
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     prepared = _prepare(train_utterances, model)
     dev_prepared = _prepare(dev_utterances, model)
+    feasible = [_feasible(model, features, target) for _, features, target in prepared]
+    if not any(feasible):
+        raise TrainingError("every utterance is infeasible")
+    skipped = [utt_id for (utt_id, _, _), ok in zip(prepared, feasible) if not ok]
+    if skipped:
+        log.warning("skipping %d of %d utterances, too short for their targets: %s",
+                    len(skipped), len(prepared), " ".join(skipped))
 
     records = []
-    best_model = model.copy()
-    best_metric = math.inf
-    best_epoch = 0
-    epoch = 0
-    for phase in (1, 2):
-        n_epochs = cfg.phase1_epochs if phase == 1 else cfg.phase2_epochs
-        if phase == 2 and best_epoch > 0:
-            model = best_model.copy()
-        for e in range(1, n_epochs + 1):
-            lr = cfg.phase1_lr if phase == 1 else cfg.phase2_lr * cfg.phase2_decay ** (e - 1)
-            epoch += 1
-            loss_sum = 0.0
-            n_labels = 0
-            skipped = 0
-            updates = 0
-            clip_events = 0
-            for i in rng.permutation(len(prepared)):
-                utt_id, features, target = prepared[i]
-                where = "epoch %d: utterance %s" % (epoch, utt_id)
-                # a diverging step overflows on its way to the loss and norm
-                # checks, which name it; numpy's warnings would not
-                with np.errstate(all="ignore"):
-                    try:
-                        lattice, tape = network_forward(model, features)
-                        loss, d_logits, n = _loss(model, lattice, target)
-                    except (InfeasibleTargetError, SequenceTooShortError) as exc:
-                        # zero probability for a target the lattice has
-                        # frames for means the network has diverged
-                        if (isinstance(exc, InfeasibleTargetError)
-                                and min_frames(target) <= len(lattice)):
-                            raise TrainingError("%s: the %d-frame lattice gives the target zero "
-                                                "probability" % (where, len(lattice))) from None
-                        skipped += 1
-                        log.warning("epoch %d: skipping %s: %s", epoch, utt_id, exc)
-                        continue
-                    if not math.isfinite(loss):
-                        raise TrainingError("%s: loss is %r" % (where, loss))
-                    grads, _ = network_backward(model, tape, d_logits)
-                    try:
-                        step, factor = clip_global_norm(grads.flat, cfg.clip_norm)
-                    except FloatingPointError as exc:
-                        raise TrainingError("%s: %s" % (where, exc)) from None
+    best = None
+    for epoch, (phase, lr) in enumerate(schedule, 1):
+        if best is not None and epoch == cfg.phase1_epochs + 1:
+            model = best.model.copy()
+        loss_sum = 0.0
+        n_labels = 0
+        clip_events = 0
+        for i in rng.permutation(len(prepared)):
+            if not feasible[i]:
+                continue
+            utt_id, features, target = prepared[i]
+            where = "epoch %d: utterance %s" % (epoch, utt_id)
+            # a diverging step overflows on its way to the loss and norm
+            # checks, which name it; numpy's warnings would not
+            with np.errstate(all="ignore"):
+                lattice, tape = network_forward(model, features)
                 try:
-                    with np.errstate(over="raise", invalid="raise"):
-                        sgd_update(model, step, lr)
+                    loss, d_logits, n = _loss(model, lattice, target)
+                except InfeasibleTargetError:
+                    # _feasible gave the target rows enough, so the network diverged
+                    raise TrainingError("%s: the %d-frame lattice gives the target zero "
+                                        "probability" % (where, len(lattice))) from None
+                if not math.isfinite(loss):
+                    raise TrainingError("%s: loss is %r" % (where, loss))
+                grads, _ = network_backward(model, tape, d_logits)
+                try:
+                    step, factor = clip_global_norm(grads.flat, cfg.clip_norm)
                 except FloatingPointError as exc:
-                    raise TrainingError("%s: update at step size %r: %s" % (where, lr, exc)) from None
-                clip_events += factor < 1.0
-                loss_sum += loss
-                n_labels += n
-                updates += 1
-            if updates == 0:
-                raise TrainingError("epoch %d: every utterance was infeasible" % epoch)
-            dev_metric = _evaluate_prepared(model, dev_prepared)
-            perplexity = loss_sum / n_labels if n_labels else math.inf
-            records.append(
-                EpochRecord(epoch, phase, lr, loss_sum, perplexity, dev_metric,
-                            skipped, clip_events)
-            )
-            if dev_metric < best_metric:
-                best_metric = dev_metric
-                best_model = model.copy()
-                best_epoch = epoch
-    if best_epoch == 0:
-        raise TrainingError("no epochs were run")
-    return TrainResult(best_model, records, best_epoch, best_metric)
+                    raise TrainingError("%s: %s" % (where, exc)) from None
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    sgd_update(model, step, lr)
+            except FloatingPointError as exc:
+                raise TrainingError("%s: update at step size %r: %s" % (where, lr, exc)) from None
+            clip_events += factor < 1.0
+            loss_sum += loss
+            n_labels += n
+        dev_metric = _evaluate_prepared(model, dev_prepared)
+        perplexity = loss_sum / n_labels if n_labels else math.inf
+        records.append(EpochRecord(epoch, phase, lr, loss_sum, perplexity, dev_metric,
+                                   len(skipped), clip_events))
+        if best is None or dev_metric < best.best_metric:
+            best = TrainResult(model.copy(), records, epoch, dev_metric)
+    return best
 
 
 def format_train_log(records):

@@ -156,11 +156,22 @@ class TestTrain:
         log = (out / "trainlog.tsv").read_text().strip().split("\n")
         assert len(log) == 1  # the flag beat the config file's 9
 
-    def test_unknown_config_key(self, tmp_path, data_dir):
+    def test_unknown_config_key(self, tmp_path, data_dir, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("no-such-option = 1\n")
+        cfg.write_text("seed = 1\n\nno-such-option = 1\n")
         assert run("train", "--config", cfg, "--data", data_dir,
                    "--out-dir", tmp_path / "o") == 4
+        assert "%s line 3: no_such_option: unknown config key" % cfg in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "layers = abc", "layers: invalid literal for int() with base 10: 'abc'"),
+        ("score", "fer = maybe", "fer: not a boolean: 'maybe'"),
+    ], ids=["int", "bool"])
+    def test_config_value_names_file_line_and_key(self, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\n%s\n" % line)
+        assert run(command, "--config", cfg, "--out-dir", tmp_path / "o") == 4
+        assert "%s line 2: %s" % (cfg, message) in capsys.readouterr().err
 
     def test_config_file_not_utf8(self, tmp_path, data_dir, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -371,16 +382,21 @@ class TestDecodeAndScore:
     @pytest.mark.parametrize("damage", ["half", "no-labels", "downsampled-classifier", "lookahead",
                                         "int-labels", "object-labels", "float-dims", "zero-hidden",
                                         "huge-hidden", "float-downsample", "bool-downsample",
-                                        "bool-lookahead", "nan-layer", "inf-layer", "nan-w-out"])
+                                        "bool-lookahead", "nan-layer", "inf-layer", "nan-w-out",
+                                        "deep-header"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         reason = {"int-labels": "strings", "object-labels": "list of strings",
                   "float-dims": "integers", "zero-hidden": "hidden unit",
                   "huge-hidden": "truncated",
                   "float-downsample": "integers", "bool-downsample": "integers",
-                  "bool-lookahead": "integers"}
+                  "bool-lookahead": "integers", "deep-header": "bad header"}
         if damage == "half":
             blob = blob[: len(blob) // 2]
+        elif damage == "deep-header":
+            # nested past the JSON parser's recursion limit
+            text = b"[" * 100_000 + b"]" * 100_000
+            blob = b"WNET" + struct.pack("<II", 1, len(text)) + text
         elif damage in ("nan-layer", "inf-layer", "nan-w-out"):
             # the first float of the payload, or of the softmax weights
             net = load_network(model_dir / "model.net")

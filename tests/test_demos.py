@@ -40,4 +40,7 @@ def test_parity_script_recognises_words_and_phonemes(tmp_path, monkeypatch):
         hyps = (out / ("dec-%s" % model) / "hypotheses.tsv").read_text().splitlines()
         assert any(line.split("\t")[1] for line in hyps), model
     assert (out / "ana" / "overlap_histogram.tsv").exists()
+    # field 7 of a trainlog line counts the epoch's skipped utterances
+    assert all(int(line.split("\t")[6]) > 0
+               for line in (out / "word16" / "trainlog.tsv").read_text().splitlines())
     assert "overlap_permutation_pvalue" in (out / "ana" / "summary.tsv").read_text()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wordctc import network, training
-from wordctc.ctc import Vocabulary, ctc_log_likelihood, greedy_decode
+from wordctc.ctc import BLANK, InfeasibleTargetError, Vocabulary, ctc_log_likelihood, greedy_decode
 from wordctc.data import SIL, Lexicon, SynthConfig, Utterance, generate_synthetic
 from wordctc.metrics import edit_distance, error_rate, frame_errors, pool
 from wordctc.network import Network, SequenceTooShortError, downsample_schedule, network_forward
@@ -148,15 +148,17 @@ class TestSkipping:
         res = train(model, list(corpus.train) + [bad], corpus.dev, cfg)
         assert res.log[0].skipped == 1
 
-    def test_all_infeasible_raises(self, word_vocab, corpus):
+    def test_all_infeasible_raises(self, word_vocab, corpus, caplog):
         bad = Utterance(
             "bad",
             np.zeros((2, 4), dtype=np.float32),
             (corpus.train[0].transcript[0],) * 4,
         )
         cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, seed=0)
-        with pytest.raises(TrainingError):
+        with pytest.raises(TrainingError, match="^every utterance is infeasible$"):
             train(small_model(word_vocab), [bad], corpus.dev, cfg)
+        # refused before the first epoch, which would log under its number
+        assert not [r for r in caplog.records if "epoch 1" in r.getMessage()]
 
     def test_zero_probability_with_frames_enough_stops_training(self, corpus, word_vocab, caplog):
         # every word's logit sits 2e308 below the blank's, so log_softmax
@@ -174,6 +176,36 @@ class TestSkipping:
         cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, seed=0, mode="phoneme-ctc")
         with pytest.raises(ValueError):
             train(small_model(word_vocab), corpus.train, corpus.dev, cfg)
+
+
+def _feasibility_cases():
+    """(mode, factor, frames, labels): each factor at 0, 2**m - 1 and 2**m
+    frames, and a target with a repeat, which needs min_frames 4 lattice
+    rows, at 3 and at 4 rows."""
+    cases = []
+    for factor in (1, 2, 4, 16):
+        for n_frames in sorted({0, factor - 1, factor}):
+            cases += [("word-ctc", factor, n_frames, ("a",)), ("word-ctc", factor, n_frames, ())]
+        cases += [("word-ctc", factor, n, ("a", "a", "b")) for n in (4 * factor - 1, 4 * factor)]
+    return cases + [("frame-classifier", 1, 0, ()), ("frame-classifier", 1, 1, ("a",))]
+
+
+class TestFeasibility:
+    @pytest.mark.parametrize("mode, factor, n_frames, labels", _feasibility_cases(),
+                             ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+    def test_rule_agrees_with_the_loss(self, mode, factor, n_frames, labels):
+        vocab = Vocabulary(("a", "b"), reserved=SIL if mode == "frame-classifier" else BLANK)
+        model = Network.random(4, [6, 6], vocab, mode, downsample=downsample_schedule(factor, 2),
+                               seed=1)
+        features = np.random.default_rng(0).normal(size=(n_frames, 4))
+        target = np.array([vocab.id_of(lab) for lab in labels], dtype=np.int64)
+        try:
+            lattice, _ = network_forward(model, features)
+            training._loss(model, lattice, target)
+            trains = True
+        except (SequenceTooShortError, InfeasibleTargetError):
+            trains = False
+        assert training._feasible(model, features, target) == trains
 
 
 class TestPerplexity:

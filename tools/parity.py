@@ -18,6 +18,8 @@ writes into OUT, in about 6 seconds:
   of about 1,600 to 6,500 rows a layer, so that lstm_forward projects and
   steps their runs of one width in many gate blocks of 512 rows (the test
   split's 598 frames fill at most two);
+- word16/: a 2x32 word-CTC model at down-sampling factor 16, which skips
+  the training utterances too short for their targets in every epoch;
 - one NN-name.stdout per command, holding its stdout and exit code.
 
 Every model trains 4 epochs at step size 0.1, then 1 phase-2 epoch. That
@@ -69,6 +71,8 @@ STEPS = [
                            "--out-dir", "dec-word-train"]),
     ("decode-phone-train", ["decode", "--model", "phone/model.net", "--data", "data/train",
                             "--out-dir", "dec-phone-train"]),
+    ("train-word16", ["train", "--data", "data", "--out-dir", "word16", "--mode", "word-ctc",
+                      "--downsample", "16", *NET]),
 ]
 
 
