@@ -210,7 +210,10 @@ def _parse_config_file(path):
         if "=" not in line:
             raise ValueError("%s line %d: expected key=value" % (path, lineno))
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = (lineno, value.strip())
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError("%s line %d: %s: repeats line %d" % (path, lineno, key, values[key][0]))
+        values[key] = (lineno, value.strip())
     return values
 
 
@@ -230,8 +233,9 @@ def _resolve(schema, ns):
     for opt in schema:
         if hasattr(ns, opt.name):
             values[opt.name] = getattr(ns, opt.name)
+    # an empty path would name the current directory
     for opt in schema:
-        if opt.required and values[opt.name] is None:
+        if opt.required and values[opt.name] in (None, ""):
             raise ValueError("missing required option --%s" % opt.name.replace("_", "-"))
     return SimpleNamespace(**values)
 

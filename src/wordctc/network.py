@@ -130,8 +130,8 @@ def _ints(what, values):
 
 def _layout(input_dim, hidden_dims, n_labels):
     """Shapes of the arrays in a network's parameter vector, in order: the one
-    statement of the layout of `Network.flat`, `NetworkGradients.flat` and a
-    checkpoint's payload.
+    statement of the layout of `Network.flat`, of a checkpoint's payload and
+    of `NetworkGradients.flat`, whose views backpropagation writes into.
 
     Each LSTM layer, bottom first, holds its (4H, D+H) weights `w`, then its
     (4H,) bias `b`; the gates are stacked as input, forget, output, cell
@@ -158,12 +158,6 @@ def _views(flat, shapes):
     """Views of consecutive runs of the vector `flat`, one of each shape."""
     ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
     return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
-
-
-def _per_gate(w, b):
-    """Views of stacked (4H, .) weights and (4H,) bias, one per gate and in
-    checkpoint order: w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g."""
-    return [*np.split(w, 4), *np.split(b, 4)]
 
 
 class LSTMLayer:
@@ -198,16 +192,20 @@ class LSTMLayer:
         return cls(w, b)
 
     def params(self):
-        """The per-gate views of `w` and `b`, in checkpoint order."""
-        return _per_gate(self.w, self.b)
+        """Views of `w` and `b`, one per gate and in checkpoint order: w_i,
+        w_f, w_o, w_g, b_i, b_f, b_o, b_g."""
+        return [*np.split(self.w, 4), *np.split(self.b, 4)]
 
 
 @dataclass
 class LayerTape:
+    """One layer's forward pass over T frames as backpropagation reads it:
+    arrays lstm_forward made, kept, not copied.  `cell` starts with the zero
+    state before step 0, so the state step t starts from is row t."""
+
     inputs: np.ndarray
     gates: np.ndarray  # (T, 4 * hidden) activations, stacked like the weights
-    cell: np.ndarray
-    tanh_cell: np.ndarray
+    cell: np.ndarray  # (T + 1, hidden)
     hidden: np.ndarray
 
 
@@ -230,10 +228,11 @@ def lstm_forward(layer, inputs, lengths=None):
     steps, at most MAX_BATCH_BYTES // 8 of gates, and a block's steps take
     their rows from one `zip`, so they index nothing.  One sequence is one
     run in one block and keeps every step's cell row; a batch keeps one
-    cell row per sequence.  The state before step 0 is stored as zeros, so
-    every step runs the same body.  A batch of one sequence gives the taped
-    outputs bit for bit while its rows fit one gate block; past that, a
-    block's projection can round differently, within 1e-12 in the tests.
+    cell row per sequence.  The state before step 0 is stored as zeros,
+    the tape's first cell row among it, so every step runs the same body.
+    A batch of one sequence gives the taped outputs bit for bit while its
+    rows fit one gate block; past that, a block's projection can round
+    differently, within 1e-12 in the tests.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -256,8 +255,7 @@ def lstm_forward(layer, inputs, lengths=None):
     hz = np.empty((width + N, H))
     h = hz[width:]
     c = np.empty((N + 1 if keep else width, H))
-    hz[:width] = c[:width] = 0
-    tc = np.empty((N, H)) if keep else h
+    hz[:width] = c[: 1 if keep else width] = 0
     tmp = np.empty((width, H))
     rec = np.empty((width, 4 * H))
     block_rows = N if keep else max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
@@ -282,10 +280,10 @@ def lstm_forward(layer, inputs, lengths=None):
                 cells, prev_cells = c[r + 1 : r + 1 + m], c[r : r + m]
             else:
                 cells = prev_cells = repeat(_steps(c, 0, 1, b)[0])
-            for a, sg, gg, ig, fg, og, cell, cp, out, hrow, left, right, tm, rc in zip(
+            for a, sg, gg, ig, fg, og, cell, cp, hrow, left, right, tm, rc in zip(
                 g, g[..., : 3 * H], g[..., 3 * H :],
                 g[..., :H], g[..., H : 2 * H], g[..., 2 * H : 3 * H],
-                cells, prev_cells, _steps(tc, r, m, b), hr, *mats,
+                cells, prev_cells, hr, *mats,
                 repeat(_steps(tmp, 0, 1, b)[0]), repeat(_steps(rec, 0, 1, b)[0]),
             ):
                 np.dot(left, right, out=rc)
@@ -295,18 +293,19 @@ def lstm_forward(layer, inputs, lengths=None):
                 np.multiply(fg, cp, out=cell)
                 np.multiply(ig, gg, out=tm)
                 cell += tm
-                np.tanh(cell, out=out)
-                np.multiply(og, out, out=hrow)
+                np.tanh(cell, out=hrow)
+                hrow *= og
             r, pb = r + m * b, b
-    return h, (LayerTape(x, gates, c[1:], tc, h) if keep else None)
+    return h, (LayerTape(x, gates, c, h) if keep else None)
 
 
-def lstm_backward(layer, tape, d_hidden):
+def lstm_backward(layer, tape, d_hidden, grad):
     """Backpropagation through time for one layer.
 
-    d_hidden is the (T, hidden) gradient arriving at the layer's outputs;
-    returns (d_inputs, grads) where grads are the per-gate views of the
-    stacked weight and bias gradients, in the order of `layer.params()`.
+    d_hidden is the (T, hidden) gradient arriving at the layer's outputs.
+    The weight and bias gradients are written into `grad.w` and `grad.b`,
+    the views of `grad`, a layer of `layer`'s shape such as one of a
+    `NetworkGradients`; returns the (T, input) gradient of the inputs.
 
     The gate-derivative factors that do not depend on the recurrence are
     computed for all frames before the time loop (Appleyard et al.,
@@ -324,8 +323,8 @@ def lstm_backward(layer, tape, d_hidden):
     # a contiguous copy keeps the per-step product on the BLAS path
     wh = np.ascontiguousarray(layer.w[:, D:])
     i, f, o, g = tape.gates.reshape(T, 4, H).transpose(1, 0, 2)
-    tc = tape.tanh_cell
-    c_prev = np.vstack([np.zeros((1, H)), tape.cell[:-1]])
+    c_prev = tape.cell[:-1]
+    tc = np.tanh(tape.cell[1:])
     # rows[t] is [dc, dc, dh, dc, dc] * factors[t], gate by gate: the four
     # gate gradients, then the cell gradient carried to step t - 1, where
     # dc = dh * dc_dh + the one carried from step t + 1
@@ -352,12 +351,11 @@ def lstm_backward(layer, tape, d_hidden):
         np.multiply(dc, fac, out=row)
         np.multiply(dh, fac_o, out=row_o)  # the output gate sees dh
         np.dot(act, wh, out=dh_rec)
-    h_prev = np.vstack([np.zeros((1, H)), tape.hidden[:-1]])
+    h_prev = np.vstack([np.zeros((1, H)), tape.hidden])[:-1]
     z = np.hstack([tape.inputs, h_prev])
-    dw = d_act.T @ z
-    db = d_act.sum(axis=0)
-    d_inputs = d_act @ layer.w[:, :D]
-    return d_inputs, _per_gate(dw, db)
+    np.matmul(d_act.T, z, out=grad.w)
+    d_act.sum(axis=0, out=grad.b)
+    return d_act @ layer.w[:, :D]
 
 
 class Network:
@@ -433,16 +431,11 @@ class ForwardTape:
     version: int
 
 
-class NetworkGradients:
-    """One gradient vector, `flat`, laid out like `Network.flat`; `arrays()`
-    gives its views, one per array of `Network.params()`."""
+class NetworkGradients(Network):
+    """A gradient laid out like its network: `flat` and the same views of it,
+    which `arrays()` gives in the order of `Network.params()`."""
 
-    def __init__(self, arrays):
-        self.flat = np.concatenate([g.ravel() for g in arrays])
-        self.shapes = [g.shape for g in arrays]
-
-    def arrays(self):
-        return _views(self.flat, self.shapes)
+    arrays = Network.params
 
 
 def network_forward(net, features, lengths=None):
@@ -520,9 +513,10 @@ def forward_batches(net, features):
 def network_backward(net, tape, d_logits):
     """Parameter and input gradients from logit-space output gradients.
 
-    Frames dropped by down-sampling get exact zeros in the returned input
-    gradient.  Raises StaleTapeError when the network was updated after the
-    forward pass that produced the tape.
+    Both are new: the parameter gradient a NetworkGradients laid out like
+    `net`, the input gradient with exact zeros for frames dropped by
+    down-sampling.  Raises StaleTapeError when the network was updated
+    after the forward pass that produced the tape.
     """
     if tape.version != net.version:
         raise StaleTapeError("tape is stale; the network was updated after the forward pass")
@@ -531,12 +525,13 @@ def network_backward(net, tape, d_logits):
     expected = (top.shape[0], net.vocab.size)
     if d_logits.shape != expected:
         raise ValueError("expected %r output grads, got %r" % (expected, d_logits.shape))
-    grads = [d_logits.T @ top, d_logits.sum(axis=0)]
+    grads = NetworkGradients(np.empty_like(net.flat), net.input_dim, net.hidden_dims,
+                             net.downsample, net.vocab, net.mode)
+    np.matmul(d_logits.T, top, out=grads.w_out)
+    d_logits.sum(axis=0, out=grads.b_out)
     dh = d_logits @ net.w_out
     for idx in range(len(net.layers) - 1, -1, -1):
-        d_in, layer_grads = lstm_backward(net.layers[idx], tape.layer_tapes[idx], dh)
-        grads[:0] = layer_grads  # top-down, so each layer goes in front
-        dh = d_in
+        dh = d_in = lstm_backward(net.layers[idx], tape.layer_tapes[idx], dh, grads.layers[idx])
         if net.downsample[idx]:
             # k halvings kept rows 0, 2**k, 2 * 2**k, ... of the layer's input,
             # the features or the outputs of the layer below; the rest get zeros
@@ -544,7 +539,7 @@ def network_backward(net, tape, d_logits):
             rows = tape.layer_tapes[idx - 1].hidden.shape[0] if idx else tape.input_rows
             dh = np.zeros((rows, d_in.shape[1]))
             dh[: len(d_in) * step : step] = d_in
-    return NetworkGradients(grads), dh
+    return grads, dh
 
 
 def sgd_update(net, grad, lr):
@@ -622,6 +617,10 @@ def load_network(path):
         if not isinstance(labels, list):
             raise ValueError("labels must be a list of strings, not a %s" % type(labels).__name__)
         vocab = Vocabulary(tuple(labels), header["reserved"])
+        # hypotheses.tsv holds space-separated labels, one utterance a line
+        for label in (*vocab.labels, vocab.reserved):
+            if label.split() != [label]:
+                raise NetworkFormatError("%s: label %r is empty or holds whitespace" % (path, label))
         shapes = _layout(header["input_dim"], header["hidden_dims"], vocab.size)
         # the header's dimensions are checked against the payload before
         # anything of their size is allocated

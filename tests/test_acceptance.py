@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to watch the lines as they
-go.  The two training-based fixtures dominate the runtime (roughly 15-20
-minutes total on a desktop CPU); everything else finishes in seconds.
+go.  The tests that train (criteria 6-9) and the edit-distance oracle
+(criterion 5) take nearly all of the suite's time and are marked `slow`, so
+`pytest -m "not slow"` leaves them out of a quick run; everything else
+finishes in seconds.
 """
 
 import itertools
@@ -180,6 +182,7 @@ def test_04_downsampling_law():
             np.testing.assert_array_equal(kept, np.arange(0, 2 * (n // 2), 2))
 
 
+@pytest.mark.slow
 def test_05_edit_distance_oracle():
     with criterion(5, "edit distance oracle"):
 
@@ -205,6 +208,7 @@ def test_05_edit_distance_oracle():
                 assert stats.insertions - stats.deletions == len(hyp) - len(ref)
 
 
+@pytest.mark.slow
 def test_06_toy_convergence(converged_word_model):
     with criterion(6, "toy word-CTC convergence"):
         result, elapsed = converged_word_model
@@ -215,6 +219,7 @@ def test_06_toy_convergence(converged_word_model):
         assert elapsed < 30 * 60, "training took %.0fs" % elapsed
 
 
+@pytest.mark.slow
 def test_07_downsampling_trend(default_corpus):
     with criterion(7, "down-sampling factor 4 helps"):
         vocab = word_vocab(default_corpus)
@@ -230,6 +235,7 @@ def test_07_downsampling_trend(default_corpus):
         assert wer[4] < wer[1], "2^2 gave %.2f vs 2^0 %.2f" % (wer[4], wer[1])
 
 
+@pytest.mark.slow
 def test_08_overlap_separation(analysis_model):
     with criterion(8, "close neighbors sound alike"):
         corpus, emb = analysis_model
@@ -242,6 +248,7 @@ def test_08_overlap_separation(analysis_model):
         assert pvalue < 0.01, "p = %.5f" % pvalue
 
 
+@pytest.mark.slow
 def test_09_blank_margin_and_frequency(analysis_model):
     with criterion(9, "blank far, margin frequency"):
         corpus, emb = analysis_model

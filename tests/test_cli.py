@@ -163,6 +163,17 @@ class TestTrain:
                    "--out-dir", tmp_path / "o") == 4
         assert "%s line 3: no_such_option: unknown config key" % cfg in capsys.readouterr().err
 
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # `-` and `_` name the same key, so n-dev and n_dev repeat one another
+        for text, repeat in (("n_train = 5\nseed = 1\nn_train = 7\n", "n_train: repeats line 1"),
+                             ("n-dev = 3\n\nn_dev = 3\n", "n_dev: repeats line 1")):
+            cfg = tmp_path / "twice.cfg"
+            cfg.write_text(text)
+            out = tmp_path / "o"
+            assert run("synth", "--config", cfg, "--out-dir", out) == 4
+            assert "%s line 3: %s" % (cfg, repeat) in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, line, message", [
         ("train", "layers = abc", "layers: invalid literal for int() with base 10: 'abc'"),
         ("score", "fer = maybe", "fer: not a boolean: 'maybe'"),
@@ -284,6 +295,41 @@ class TestTrain:
         assert not np.array_equal(warm_net.layers[0].w_i, cold_net.layers[0].w_i)
 
 
+REQUIRED = [(command, opt.name) for command, schema in cli._SCHEMAS.items()
+            for opt in schema if opt.required]
+
+
+class TestRequiredOptions:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, name", REQUIRED, ids=["%s-%s" % r for r in REQUIRED])
+    def test_empty_is_missing(self, tmp_path, monkeypatch, capsys, command, name, source):
+        # an empty path is the current directory, which must stay untouched
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        given = {opt: tmp_path / opt for c, opt in REQUIRED if c == command}
+        argv = [command]
+        if source == "flag":
+            given[name] = ""
+        else:
+            del given[name]
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("%s =\n" % name.replace("_", "-"))
+            argv += ["--config", cfg]
+        for opt, value in given.items():
+            argv += ["--" + opt.replace("_", "-"), value]
+        assert run(*argv) == 4
+        assert "missing required option --%s" % name.replace("_", "-") in capsys.readouterr().err
+        assert not any(cwd.iterdir())
+
+    def test_empty_optional_path_means_none(self, tmp_path, data_dir, model_dir):
+        assert run("train", "--data", data_dir, "--out-dir", tmp_path / "t", *TINY_TRAIN,
+                   "--init-from", "") == 0
+        assert run("analyze", "--model", model_dir / "model.net", "--lexicon",
+                   data_dir / "lexicon.tsv", "--out-dir", tmp_path / "a", "--margin",
+                   "--transcripts", "") == 0
+
+
 class TestDecodeAndScore:
     def test_decode_score_round_trip(self, tmp_path, data_dir, model_dir):
         dec = tmp_path / "dec"
@@ -383,7 +429,8 @@ class TestDecodeAndScore:
                                         "int-labels", "object-labels", "float-dims", "zero-hidden",
                                         "huge-hidden", "float-downsample", "bool-downsample",
                                         "bool-lookahead", "nan-layer", "inf-layer", "nan-w-out",
-                                        "deep-header"])
+                                        "deep-header", "tab-label", "space-label", "empty-label",
+                                        "newline-label", "space-reserved"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         reason = {"int-labels": "strings", "object-labels": "list of strings",
@@ -391,6 +438,11 @@ class TestDecodeAndScore:
                   "huge-hidden": "truncated",
                   "float-downsample": "integers", "bool-downsample": "integers",
                   "bool-lookahead": "integers", "deep-header": "bad header"}
+        # labels that hypotheses.tsv could not write as one token
+        relabel = {"tab-label": "w00\tXX", "space-label": "w00 XX", "empty-label": "",
+                   "newline-label": "w00\nw01", "space-reserved": "<b lk>"}
+        reason.update((d, "label %r is empty or holds whitespace" % label)
+                      for d, label in relabel.items())
         if damage == "half":
             blob = blob[: len(blob) // 2]
         elif damage == "deep-header":
@@ -431,6 +483,10 @@ class TestDecodeAndScore:
                 header["downsample"] = [bool(c) for c in header["downsample"]]
             elif damage == "bool-lookahead":
                 header["lookahead"] = bool(header["lookahead"])
+            elif damage == "space-reserved":
+                header["reserved"] = relabel[damage]
+            elif damage in relabel:
+                header["labels"][0] = relabel[damage]
             else:
                 # the model halves its frame rate, which a frame classifier cannot
                 header["mode"] = "frame-classifier"

@@ -134,6 +134,16 @@ class TestLSTMForward:
         with pytest.raises(ValueError):
             lstm_forward(layer, np.zeros((4, 5)))
 
+    @pytest.mark.parametrize("T", [0, 1, 6])
+    def test_tape_cell_starts_with_the_zero_state(self, nan_empty, T):
+        rng = np.random.default_rng(T)
+        layer = LSTMLayer.random(3, 4, rng)
+        h, tape = lstm_forward(layer, rng.normal(size=(T, 3)))
+        assert tape.cell.shape == (T + 1, 4)
+        np.testing.assert_array_equal(tape.cell[0], np.zeros(4))
+        # every other row of every buffer is written before it is read
+        assert h.shape == (T, 4) and np.isfinite(tape.cell).all() and np.isfinite(h).all()
+
 
 def _reference_lstm_forward(layer, inputs):
     """The single-utterance loop lstm_forward replaced: the oracle for the
@@ -146,24 +156,42 @@ def _reference_lstm_forward(layer, inputs):
     gx = x @ layer.w[:, :D].T + layer.b
     gates = np.empty((T, 4 * H))
     i, f, o, g = gates.reshape(T, 4, H).transpose(1, 0, 2)
-    c = np.empty((T, H))
-    tc = np.empty((T, H))
+    c = np.zeros((T + 1, H))  # c[t] is the state step t starts from
     h = np.empty((T, H))
     h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
     for t in range(T):
         a = gx[t] + wh @ h_prev
         expit(a[: 3 * H], out=gates[t, : 3 * H])
         np.tanh(a[3 * H :], out=gates[t, 3 * H :])
-        c[t] = f[t] * c_prev + i[t] * g[t]
-        tc[t] = np.tanh(c[t])
-        h[t] = o[t] * tc[t]
+        c[t + 1] = f[t] * c[t] + i[t] * g[t]
+        h[t] = o[t] * np.tanh(c[t + 1])
         h_prev = h[t]
-        c_prev = c[t]
-    return h, (x, gates, c, tc, h)
+    return h, (x, gates, c, h)
 
 
-TAPE_FIELDS = ("inputs", "gates", "cell", "tanh_cell", "hidden")
+TAPE_FIELDS = ("inputs", "gates", "cell", "hidden")
+
+
+class _NaNEmptyNumpy:
+    """numpy, except that the arrays it leaves uninitialized come filled with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=np.float64):
+        return np.full(shape, np.nan, dtype)
+
+    @staticmethod
+    def empty_like(a):
+        return np.full_like(a, np.nan)
+
+
+@pytest.fixture
+def nan_empty(monkeypatch):
+    """Run wordctc.network with NaN in every buffer it allocates uninitialized,
+    so an entry read before it is written shows."""
+    monkeypatch.setattr(network, "np", _NaNEmptyNumpy())
 
 
 def _close(got, want, rel=1e-12):
@@ -319,31 +347,40 @@ def fd_check(param, grad, loss_fn, eps=1e-6, floor=1e-2):
 
 def _reference_lstm_backward(layer, tape, d_hidden):
     """Backpropagation through time one gate expression at a time per step:
-    the oracle for lstm_backward, which hoists the gate factors out of the loop."""
+    the oracle for lstm_backward, which hoists the gate factors out of the
+    loop.  Each product groups its step-local factors as the kernel's
+    hoisted ones do, and the recurrent product runs on the same contiguous
+    weights, so the two agree bit for bit."""
     T = tape.inputs.shape[0]
     H = layer.hidden_dim
     D = layer.input_dim
-    wh = layer.w[:, D:]
+    wh = np.ascontiguousarray(layer.w[:, D:])
     i, f, o, g = tape.gates.reshape(T, 4, H).transpose(1, 0, 2)
     d_act = np.empty((T, 4 * H))
     dh_rec = np.zeros(H)
     dc_rec = np.zeros(H)
     for t in range(T - 1, -1, -1):
         dh = d_hidden[t] + dh_rec
-        do = dh * tape.tanh_cell[t]
-        dc = dh * o[t] * (1.0 - tape.tanh_cell[t] ** 2) + dc_rec
-        c_prev = tape.cell[t - 1] if t > 0 else 0.0
-        d_act[t, :H] = dc * g[t] * i[t] * (1.0 - i[t])
-        d_act[t, H : 2 * H] = dc * c_prev * f[t] * (1.0 - f[t])
-        d_act[t, 2 * H : 3 * H] = do * o[t] * (1.0 - o[t])
-        d_act[t, 3 * H :] = dc * i[t] * (1.0 - g[t] ** 2)
+        tc = np.tanh(tape.cell[t + 1])
+        dc = dh * (o[t] * (1.0 - tc**2)) + dc_rec
+        d_act[t, :H] = dc * (g[t] * i[t] * (1.0 - i[t]))
+        d_act[t, H : 2 * H] = dc * (tape.cell[t] * f[t] * (1.0 - f[t]))
+        d_act[t, 2 * H : 3 * H] = dh * (o[t] * (1.0 - o[t]) * tc)
+        d_act[t, 3 * H :] = dc * (i[t] * (1.0 - g[t] ** 2))
         dc_rec = dc * f[t]
         dh_rec = d_act[t] @ wh
-    h_prev = np.vstack([np.zeros((1, H)), tape.hidden[:-1]])
+    h_prev = np.vstack([np.zeros((1, H)), tape.hidden])[:-1]
     z = np.hstack([tape.inputs, h_prev])
     dw = d_act.T @ z
     d_inputs = d_act @ layer.w[:, :D]
     return d_inputs, [*np.split(dw, 4), *np.split(d_act.sum(axis=0), 4)]
+
+
+def _backward(layer, tape, d_hidden):
+    """lstm_backward into a NaN-filled gradient layer: the input gradient,
+    then the per-gate weight and bias gradients it wrote."""
+    grad = LSTMLayer(np.full_like(layer.w, np.nan), np.full_like(layer.b, np.nan))
+    return lstm_backward(layer, tape, d_hidden, grad), grad.params()
 
 
 class TestLSTMBackward:
@@ -351,7 +388,7 @@ class TestLSTMBackward:
         rng = np.random.default_rng(2)
         layer = LSTMLayer.random(3, 4, rng)
         _, tape = lstm_forward(layer, rng.normal(size=(5, 3)))
-        d_in, grads = lstm_backward(layer, tape, np.zeros((5, 4)))
+        d_in, grads = _backward(layer, tape, np.zeros((5, 4)))
         np.testing.assert_array_equal(d_in, np.zeros((5, 3)))
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -369,7 +406,7 @@ class TestLSTMBackward:
                 return 0.5 * float(np.sum((out - target) ** 2))
 
             out, tape = lstm_forward(layer, x)
-            d_in, grads = lstm_backward(layer, tape, out - target)
+            d_in, grads = _backward(layer, tape, out - target)
             for p, g in zip(layer.params(), grads):
                 assert fd_check(p, g, loss) < 1e-4
             # input gradients too
@@ -385,13 +422,25 @@ class TestLSTMBackward:
         sigmoid_gates = tape.gates[:, : 3 * H]
         assert np.mean(sigmoid_gates * (1.0 - sigmoid_gates) < 0.01) > 0.2
         d_hidden = rng.normal(size=(T, H))
-        d_in, grads = lstm_backward(layer, tape, d_hidden)
+        d_in, grads = _backward(layer, tape, d_hidden)
         want_in, want_grads = _reference_lstm_backward(layer, tape, d_hidden)
         for got, want in zip([d_in, *grads], [want_in, *want_grads]):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        again_in, again_grads = lstm_backward(layer, tape, d_hidden)
+        again_in, again_grads = _backward(layer, tape, d_hidden)
         for got, again in zip([d_in, *grads], [again_in, *again_grads]):
             assert np.array_equal(got, again)
+
+    @pytest.mark.parametrize("D, H, T", [(5, 6, 0), (5, 6, 1), (5, 6, 7), (13, 48, 160), (2, 1, 40)])
+    def test_fills_a_nan_gradient_layer_as_the_reference(self, D, H, T):
+        rng = np.random.default_rng(D * H + T)
+        layer = LSTMLayer(LSTMLayer.random(D, H, rng).w * 3.0, rng.normal(size=4 * H))
+        _, tape = lstm_forward(layer, rng.normal(size=(T, D)))
+        d_hidden = rng.normal(size=(T, H))
+        d_in, grads = _backward(layer, tape, d_hidden)
+        want_in, want_grads = _reference_lstm_backward(layer, tape, d_hidden)
+        assert d_in.shape == (T, D) and len(grads) == len(want_grads) == 8
+        for got, want in zip([d_in, *grads], [want_in, *want_grads]):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("T", [2, 7, 160])
     def test_carried_gradients_match_per_step_reference(self, T):
@@ -404,7 +453,7 @@ class TestLSTMBackward:
         _, tape = lstm_forward(layer, rng.normal(size=(T, D)))
         d_hidden = np.zeros((T, H))
         d_hidden[-1] = rng.normal(size=H)
-        d_in, grads = lstm_backward(layer, tape, d_hidden)
+        d_in, grads = _backward(layer, tape, d_hidden)
         want_in, want_grads = _reference_lstm_backward(layer, tape, d_hidden)
         assert np.all(np.abs(d_in[0]) > 0)
         for got, want in zip([d_in, *grads], [want_in, *want_grads]):
@@ -497,8 +546,8 @@ class TestForwardBatches:
         # (6 + 6) * 10 floats of input and hidden rows, and its 4 * 40
         # features are held twice, packed and as network_forward's copy
         charge = ((4 + 6) * 40 + 2 * 4 * 40) * 8
-        # the widest layer's gates, cell and tanh-cell rows are not charged
-        taped = (4 + 7 * 6) * 40 * 8
+        # the widest layer's gates and cell rows are not charged
+        taped = (4 + 6 * 6) * 40 * 8
         calls = []
         real = network.network_forward
 
@@ -595,6 +644,34 @@ class TestNetworkBackward:
         # frames 0, 4 and 8 reach the lattice
         assert np.any(d_x[0]) and np.any(d_x[4]) and np.any(d_x[8])
 
+    def test_gradient_is_views_of_one_vector_laid_out_like_the_network(self, nan_empty,
+                                                                      monkeypatch):
+        written = []
+        real = network.lstm_backward
+
+        def spy(layer, tape, d_hidden, *grad):
+            written.append(grad)
+            return real(layer, tape, d_hidden, *grad)
+
+        monkeypatch.setattr(network, "lstm_backward", spy)
+        rng = np.random.default_rng(14)
+        net = tiny_net(seed=14, downsample=(1, 0))
+        lattice, tape = network_forward(net, rng.normal(size=(9, 4)))
+        _, d_logits = ctc_loss_and_gradient(lattice, (0, 1))
+        grads, _ = network_backward(net, tape, d_logits)
+        assert grads.flat.shape == net.flat.shape and np.isfinite(grads.flat).all()
+        assert not np.shares_memory(grads.flat, net.flat)
+
+        def offset(a, base):
+            return a.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+
+        for p, g in zip(net.params(), grads.arrays(), strict=True):
+            assert g.shape == p.shape and g.strides == p.strides
+            assert np.shares_memory(g, grads.flat) and offset(g, grads.flat) == offset(p, net.flat)
+        # each layer's backward pass wrote into that layer's views, top first
+        assert len(written) == 2
+        assert all(got is want for (got,), want in zip(written, grads.layers[::-1]))
+
     def test_stale_tape_rejected(self):
         rng = np.random.default_rng(7)
         net = tiny_net()
@@ -660,15 +737,15 @@ class TestFlatParameters:
         assert net.version == 0
 
     def test_gradients_bit_identical_and_flat_norm_within_tolerance(self, monkeypatch):
-        # the per-array gradients are lstm_backward's, copied; the norm of
-        # the one flat vector sums in another order than the per-array sum
+        # the per-array gradients are the ones lstm_backward wrote; the norm
+        # of the one flat vector sums in another order than the per-array sum
         recorded = []
         real = network.lstm_backward
 
-        def spy(layer, tape, d_hidden):
-            d_inputs, grads = real(layer, tape, d_hidden)
-            recorded[:0] = [g.copy() for g in grads]  # top layer first, as the network goes
-            return d_inputs, grads
+        def spy(layer, tape, d_hidden, grad):
+            d_inputs = real(layer, tape, d_hidden, grad)
+            recorded[:0] = [g.copy() for g in grad.params()]  # top layer first, as the network goes
+            return d_inputs
 
         monkeypatch.setattr(network, "lstm_backward", spy)
         rng = np.random.default_rng(17)
