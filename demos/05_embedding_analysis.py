@@ -3,7 +3,7 @@
 Trains a word-CTC model on a corpus with a Zipf-skewed word distribution and
 then inspects the embedding space: nearest neighbors share pronunciation
 structure, the blank sits far from every word, and frequent words carve out
-larger margins.  Expect a couple of minutes of training.
+larger margins.  Expect about half a minute of training.
 """
 
 import numpy as np
@@ -20,17 +20,15 @@ from wordctc.analysis import (
 
 cfg = w.SynthConfig(seed=11, vocab_size=64, n_train=400)
 corpus = w.generate_synthetic(cfg)
-vocab = w.Vocabulary(tuple(sorted(corpus.lexicon.words)))
-net = w.Network.random(cfg.feature_dim, [48, 48, 48], vocab, "word-ctc",
-                       downsample=w.downsample_schedule(4, 3), seed=1)
-result = w.train(net, corpus.train, corpus.dev,
-                 w.TrainConfig(phase1_epochs=8, phase2_epochs=4, seed=7))
+spec = w.TrainSpec(downsample=4, layers=3, hidden=48, seed=1,
+                   config=w.TrainConfig(phase1_epochs=8, phase2_epochs=4))
+result = w.run(spec, corpus.lexicon, corpus.train, corpus.dev)
 print("trained to dev WER %.2f%%" % result.best_metric)
 
 emb = embedding_matrix(result.model)
 
 # Nearest neighbors of a frequent word, with pronunciation overlap.
-query = vocab.labels[0]
+query = emb.vocab.labels[0]
 print("\nnearest neighbors of %s %s:" % (query, corpus.lexicon.pronunciation(query)))
 nn = neighbors(emb, query, 5)
 for row, dist in zip(nn.ids, nn.distances):

@@ -64,6 +64,7 @@ from .network import (
     NetworkFormatError,
     SequenceTooShortError,
     StaleTapeError,
+    TransferError,
     downsample,
     downsample_schedule,
     forward_batches,
@@ -81,11 +82,13 @@ from .training import (
     EpochRecord,
     TrainConfig,
     TrainResult,
+    TrainSpec,
     TrainingError,
     convert_transcripts_to_phonemes,
     decode_utterances,
     evaluate,
     format_train_log,
+    run,
     train,
     training_perplexity,
 )

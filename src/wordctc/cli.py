@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from .analysis import (
     BLANK_TOP,
     FAR_RANKS,
@@ -31,9 +29,7 @@ from .analysis import (
     permutation_pvalue,
     table_tsv,
 )
-from .ctc import Vocabulary
 from .data import (
-    SIL,
     DataFormatError,
     ManifestError,
     SynthConfig,
@@ -44,23 +40,17 @@ from .data import (
     read_lines,
     save_synth_corpus,
     save_transcripts,
-    subset,
 )
 from .metrics import edit_distance, error_rate, fer_report, frame_errors, pool, score_report
-from .network import (
-    Network,
-    downsample_schedule,
-    load_network,
-    save_network,
-    transfer_bottom_layers,
-)
+from .network import TransferError, load_network, save_network
 from .training import (
     TrainConfig,
     TrainingError,
-    convert_transcripts_to_phonemes,
+    TrainSpec,
+    _vocab_for_mode,  # noqa: F401 (perfbench/run.py imports it from here)
     decode_utterances,
     format_train_log,
-    train,
+    run,
 )
 
 EXIT_OK = 0
@@ -130,9 +120,12 @@ _TRAIN = [
     Opt("data", str, None, "corpus directory written by synth", required=True),
     Opt("out_dir", str, None, "output directory", required=True),
     *_config_opts(TrainConfig, mode="word-ctc | phoneme-ctc | frame-classifier"),
-    Opt("downsample", int, 1, "total frame-rate reduction factor (power of two)"),
-    Opt("layers", int, 4, "number of LSTM layers"),
-    Opt("hidden", int, 500, "hidden units per layer"),
+    *_config_opts(
+        TrainSpec,
+        downsample="total frame-rate reduction factor (power of two)",
+        layers="number of LSTM layers",
+        hidden="hidden units per layer",
+    ),
     *_config_opts(
         TrainConfig,
         phase1_epochs="epochs at the constant step size",
@@ -143,9 +136,12 @@ _TRAIN = [
         clip_norm="global gradient-norm bound",
     ),
     Opt("init_from", str, "", "checkpoint to transfer bottom layers from"),
-    Opt("init_layers", int, 3, "how many bottom layers to transfer"),
-    Opt("data_fraction", float, 1.0, "seeded fraction of the training set to use"),
-    Opt("seed", int, 0, "seed for init, shuffling, and subsetting"),
+    *_config_opts(
+        TrainSpec,
+        init_layers="how many bottom layers to transfer",
+        data_fraction="seeded fraction of the training set to use",
+        seed="seed for init, shuffling, and subsetting",
+    ),
 ]
 
 _DECODE = [
@@ -288,17 +284,9 @@ def cmd_synth(opts, out):
     return EXIT_OK
 
 
-def _vocab_for_mode(mode, lexicon):
-    if mode == "word-ctc":
-        return Vocabulary(tuple(sorted(lexicon.words)))
-    if mode == "phoneme-ctc":
-        return Vocabulary(lexicon.inventory)
-    if mode == "frame-classifier":
-        return Vocabulary(tuple(sorted(lexicon.words)), reserved=SIL)
-    raise ValueError("unknown mode %r" % mode)
-
-
 def cmd_train(opts, out):
+    # --seed is the spec's: run() spawns the shuffle stream from it
+    spec = _config(TrainSpec, opts, config=_config(TrainConfig, opts, seed=0))
     data = Path(opts.data)
     lexicon = load_lexicon(data / "lexicon.tsv")
     words = set(lexicon.words)
@@ -314,40 +302,20 @@ def cmd_train(opts, out):
         if opts.mode == "frame-classifier" and unaligned:
             why = "no alignment for utterance %r" % unaligned[0] if align.exists() else "no such file"
             raise ManifestError("%s: %s" % (align, why))
-    if opts.mode == "phoneme-ctc":
-        train_utts = convert_transcripts_to_phonemes(train_utts, lexicon)
-        dev_utts = convert_transcripts_to_phonemes(dev_utts, lexicon)
-    init_seed, shuffle_seed, subset_seed = np.random.SeedSequence(opts.seed).spawn(3)
-    train_utts = subset(train_utts, opts.data_fraction, subset_seed)
-    vocab = _vocab_for_mode(opts.mode, lexicon)
-    input_dim = train_utts[0].features.shape[1]
-    _check_feature_dim(input_dim, data / "train", dev_utts, data / "dev")
-    schedule = downsample_schedule(opts.downsample, opts.layers)
-    model = Network.random(
-        input_dim,
-        [opts.hidden] * opts.layers,
-        vocab,
-        opts.mode,
-        downsample=schedule,
-        seed=init_seed,
-    )
+    _check_feature_dim(train_utts[0].features.shape[1], data / "train", dev_utts, data / "dev")
+    source = None
     if opts.init_from:
         source = load_network(opts.init_from)
         _check_feature_dim(source.input_dim, opts.init_from, train_utts, data / "train")
-        try:
-            model = transfer_bottom_layers(source, model, opts.init_layers)
-        except ValueError as exc:
-            raise ValueError("--init-from %s --init-layers %d: %s"
-                             % (opts.init_from, opts.init_layers, exc)) from None
-    # the CLI's --seed is not TrainConfig.seed: the shuffle stream is one of its three spawns
-    cfg = _config(TrainConfig, opts, seed=shuffle_seed)
-    result = train(model, train_utts, dev_utts, cfg)
+    try:
+        result = run(spec, lexicon, train_utts, dev_utts, init_from=source)
+    except TransferError as exc:
+        raise ValueError("--init-from %s --init-layers %d: %s"
+                         % (opts.init_from, opts.init_layers, exc)) from None
     save_network(result.model, out.claim("model.net"))
     out.write_text("trainlog.tsv", format_train_log(result.log))
-    print(
-        "best dev metric %.4f at epoch %d (%d utterances, %d epochs)"
-        % (result.best_metric, result.best_epoch, len(train_utts), len(result.log))
-    )
+    print("best dev metric %.4f at epoch %d (%d utterances, %d epochs)"
+          % (result.best_metric, result.best_epoch, result.n_utterances, len(result.log)))
     return EXIT_OK
 
 

@@ -44,6 +44,10 @@ class NetworkFormatError(DataFormatError):
     """Malformed network checkpoint file."""
 
 
+class TransferError(ValueError):
+    """A source network's bottom layers do not fit the destination."""
+
+
 def _batch_sizes(lengths, n_rows):
     """Rows per time step of the packed layout of sequences whose lengths
     are `lengths`, in decreasing order and totalling `n_rows`: step t holds
@@ -555,16 +559,16 @@ def transfer_bottom_layers(src, dst, k):
 
     dst's remaining layers and its softmax head keep their own (fresh)
     initialization.  Shapes of the copied layers must agree, and k must
-    leave at least one destination layer untouched.
+    leave at least one destination layer untouched; TransferError otherwise.
     """
     if not 0 <= k < len(dst.layers):
-        raise ValueError("can replace 0 to %d of the destination's %d layers, not %d"
+        raise TransferError("can replace 0 to %d of the destination's %d layers, not %d"
                          % (len(dst.layers) - 1, len(dst.layers), k))
     if k > len(src.layers):
-        raise ValueError("source has only %d layers" % len(src.layers))
+        raise TransferError("source has only %d layers" % len(src.layers))
     for i, (a, b) in enumerate(zip(src.layers[:k], dst.layers[:k])):
         if a.w.shape != b.w.shape:
-            raise ValueError("layer %d shape mismatch: %r vs %r" % (i, a.w.shape, b.w.shape))
+            raise TransferError("layer %d shape mismatch: %r vs %r" % (i, a.w.shape, b.w.shape))
     # _layout puts the bottom k layers first, each as its w and then its b
     n = sum(l.w.size + l.b.size for l in dst.layers[:k])
     out = dst.copy()

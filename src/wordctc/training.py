@@ -8,14 +8,15 @@ best model on dev over all epochs is returned.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ctc import InfeasibleTargetError, ctc_loss_and_gradient, greedy_decode, min_frames
-from .data import Utterance
+from .ctc import InfeasibleTargetError, Vocabulary, ctc_loss_and_gradient, greedy_decode, min_frames
+from .data import SIL, Utterance, subset
 from .metrics import edit_distance, error_rate, frame_errors, pool
-from .network import forward_batches, network_backward, network_forward, sgd_update
+from .network import (MODES, Network, downsample_schedule, forward_batches, network_backward,
+                      network_forward, sgd_update, transfer_bottom_layers)
 from .numerics import clip_global_norm
 
 log = logging.getLogger(__name__)
@@ -45,6 +46,29 @@ class TrainConfig:
             raise ValueError("decay must be in (0, 1]")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
+        if self.phase1_epochs + self.phase2_epochs == 0:
+            raise ValueError("phase1_epochs and phase2_epochs are both 0: no epoch would run")
+        if self.mode not in MODES:
+            raise ValueError("mode must be one of %r, got %r" % (MODES, self.mode))
+
+
+@dataclass(frozen=True)
+class TrainSpec:
+    """What `run` trains: shape, transferred layers, data share, seed and recipe.
+    `seed` spawns three streams, in order: init, shuffle, subset; the shuffle
+    stream takes the place of `config.seed`, which must be left at 0."""
+
+    downsample: int = 1
+    layers: int = 4
+    hidden: int = 500
+    init_layers: int = 3
+    data_fraction: float = 1.0
+    seed: int = 0
+    config: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if self.config.seed != 0:
+            raise ValueError("config.seed must be 0: the shuffle stream is spawned from seed")
 
 
 @dataclass(frozen=True)
@@ -65,6 +89,7 @@ class TrainResult:
     log: list
     best_epoch: int
     best_metric: float
+    n_utterances: int  # the training utterances, infeasible ones included
 
 
 def convert_transcripts_to_phonemes(utterances, lexicon):
@@ -73,13 +98,9 @@ def convert_transcripts_to_phonemes(utterances, lexicon):
     Word-level alignments are dropped since they no longer match the new
     transcripts.
     """
-    out = []
-    for u in utterances:
-        phones = []
-        for w in u.transcript:
-            phones.extend(lexicon.pronunciation(w))
-        out.append(Utterance(u.utt_id, u.features, tuple(phones), None))
-    return out
+    return [Utterance(u.utt_id, u.features,
+                      tuple(p for w in u.transcript for p in lexicon.pronunciation(w)), None)
+            for u in utterances]
 
 
 def _prepare(utterances, model):
@@ -205,10 +226,10 @@ def train(model, train_utterances, dev_utterances, cfg):
     deterministically from cfg.seed.  Infeasible utterances, whose lattice
     has fewer rows than their target needs, are found once, logged once
     and skipped in every epoch, which counts them; TrainingError is raised
-    before the first epoch when the schedule is empty or every utterance is
-    infeasible, and during training at a lattice that gives a target it
-    has frames for zero probability, a non-finite loss or gradient norm,
-    before the update it would corrupt, and an update that overflows.
+    before the first epoch when every utterance is infeasible, and during
+    training at a lattice that gives a target it has frames for zero
+    probability, a non-finite loss or gradient norm, before the update it
+    would corrupt, and an update that overflows.
     """
     if not train_utterances or not dev_utterances:
         raise ValueError("train and dev sets must be nonempty")
@@ -216,8 +237,6 @@ def train(model, train_utterances, dev_utterances, cfg):
         raise ValueError("config mode %r != model mode %r" % (cfg.mode, model.mode))
     schedule = ([(1, cfg.phase1_lr)] * cfg.phase1_epochs
                 + [(2, cfg.phase2_lr * cfg.phase2_decay ** k) for k in range(cfg.phase2_epochs)])
-    if not schedule:
-        raise TrainingError("no epochs were run")
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     prepared = _prepare(train_utterances, model)
@@ -273,8 +292,34 @@ def train(model, train_utterances, dev_utterances, cfg):
         records.append(EpochRecord(epoch, phase, lr, loss_sum, perplexity, dev_metric,
                                    len(skipped), clip_events))
         if best is None or dev_metric < best.best_metric:
-            best = TrainResult(model.copy(), records, epoch, dev_metric)
+            best = TrainResult(model.copy(), records, epoch, dev_metric, len(prepared))
     return best
+
+
+def _vocab_for_mode(mode, lexicon):
+    if mode == "phoneme-ctc":
+        return Vocabulary(lexicon.inventory)
+    words = tuple(sorted(lexicon.words))
+    return Vocabulary(words, SIL) if mode == "frame-classifier" else Vocabulary(words)
+
+
+def run(spec, lexicon, train_utterances, dev_utterances, init_from=None):
+    """`train` on the corpus as `wordctc train` does: phoneme CTC converts both
+    splits through the lexicon, the training set is cut to the data share,
+    and the fresh network takes `init_from`'s bottom layers when given one."""
+    mode = spec.config.mode
+    if mode == "phoneme-ctc":
+        train_utterances = convert_transcripts_to_phonemes(train_utterances, lexicon)
+        dev_utterances = convert_transcripts_to_phonemes(dev_utterances, lexicon)
+    init_seed, shuffle_seed, subset_seed = np.random.SeedSequence(spec.seed).spawn(3)
+    train_utterances = subset(train_utterances, spec.data_fraction, subset_seed)
+    model = Network.random(train_utterances[0].features.shape[1], [spec.hidden] * spec.layers,
+                           _vocab_for_mode(mode, lexicon), mode,
+                           downsample=downsample_schedule(spec.downsample, spec.layers),
+                           seed=init_seed)
+    if init_from is not None:
+        model = transfer_bottom_layers(init_from, model, spec.init_layers)
+    return train(model, train_utterances, dev_utterances, replace(spec.config, seed=shuffle_seed))
 
 
 def format_train_log(records):

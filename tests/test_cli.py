@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordctc import cli
+from wordctc import cli, training
 from wordctc.cli import _Outputs, main
 from wordctc.ctc import Vocabulary, greedy_decode
 from wordctc.data import (
@@ -229,7 +229,7 @@ class TestTrain:
     def test_downsampled_frame_classifier_rejected_before_training(
         self, tmp_path, data_dir, capsys, monkeypatch
     ):
-        monkeypatch.setattr("wordctc.cli.train", lambda *args: pytest.fail("training started"))
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training started"))
         assert run("train", "--data", data_dir, "--out-dir", tmp_path / "frames",
                    *TINY_TRAIN, "--mode", "frame-classifier", "--downsample", "4") == 4
         assert "frame classification requires down-sampling factor 1" in capsys.readouterr().err
@@ -243,7 +243,7 @@ class TestTrain:
         corpus = data / "dev" / "corpus.tsv"
         corpus.write_text("".join("%s\t%s\t\n" % tuple(line.split("\t")[:2])
                                   for line in corpus.read_text().splitlines()))
-        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training started"))
         out = tmp_path / "out"
         assert run("train", "--data", data, "--out-dir", out, *TINY_TRAIN, "--mode", mode) == 3
         assert "%s: no word" % corpus in capsys.readouterr().err
@@ -263,7 +263,7 @@ class TestTrain:
             lines = align.read_text().splitlines(keepends=True)
             align.write_text("".join(lines[:drop] + lines[drop + 1 :]))
             message = "%s: no alignment for utterance %r" % (align, lines[drop].split("\t")[0])
-        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training started"))
         out = tmp_path / "out"
         assert run("train", "--data", data, "--out-dir", out, *TINY_TRAIN,
                    "--mode", "frame-classifier", "--downsample", "1") == 3
@@ -293,6 +293,44 @@ class TestTrain:
         warm_net = load_network(warm / "model.net")
         cold_net = load_network(cold / "model.net")
         assert not np.array_equal(warm_net.layers[0].w_i, cold_net.layers[0].w_i)
+
+
+class TestRunIsTheTrainCommand:
+    """training.run on the loaded corpus trains what `wordctc train` writes."""
+
+    @pytest.fixture(scope="class")
+    def phone_net(self, tmp_path_factory, data_dir):
+        root = tmp_path_factory.mktemp("phone")
+        assert run("train", "--data", data_dir, "--out-dir", root, *TINY_TRAIN,
+                   "--mode", "phoneme-ctc") == 0
+        return root / "model.net"
+
+    @pytest.mark.parametrize("mode, argv, fields", [
+        ("word-ctc", ["--init-layers", "1"], {"init_layers": 1}),
+        ("phoneme-ctc", [], {}),
+        ("frame-classifier", ["--downsample", "1", "--data-fraction", "0.5"],
+         {"downsample": 1, "data_fraction": 0.5}),
+    ], ids=["word-from-phone", "phone", "frame-half"])
+    def test_same_model_and_log(self, tmp_path, data_dir, phone_net, mode, argv, fields):
+        init = ["--init-from", phone_net] if mode == "word-ctc" else []
+        out = tmp_path / "cli"
+        assert run("train", "--data", data_dir, "--out-dir", out, *TINY_TRAIN,
+                   "--mode", mode, *init, *argv) == 0
+        # TINY_TRAIN's options, as a spec
+        spec = training.TrainSpec(**{"downsample": 2, "layers": 2, "hidden": 10, "seed": 5,
+                                     **fields},
+                                  config=training.TrainConfig(phase1_epochs=2, phase2_epochs=1,
+                                                              mode=mode))
+        lexicon = load_lexicon(data_dir / "lexicon.tsv")
+        train_utts, dev_utts = (load_corpus(data_dir / split, known_words=set(lexicon.words))
+                                for split in ("train", "dev"))
+        source = load_network(phone_net) if init else None
+        result = training.run(spec, lexicon, train_utts, dev_utts, init_from=source)
+        save_network(result.model, tmp_path / "run.net")
+        assert (tmp_path / "run.net").read_bytes() == (out / "model.net").read_bytes()
+        assert training.format_train_log(result.log) == (out / "trainlog.tsv").read_text()
+        if fields.get("data_fraction"):
+            assert result.n_utterances == len(train_utts) // 2
 
 
 REQUIRED = [(command, opt.name) for command, schema in cli._SCHEMAS.items()
@@ -645,10 +683,13 @@ class TestTrainFailureModes:
         (["--phase1-lr", "nan"], "phase1_lr"), (["--phase2-lr", "nan"], "phase2_lr"),
         (["--clip-norm", "nan"], "clip_norm"), (["--phase1-lr", "inf"], "phase1_lr"),
         (["--layers", "1", "--hidden", "0"], "hidden unit"),
-    ], ids=["phase1-lr-nan", "phase2-lr-nan", "clip-norm-nan", "phase1-lr-inf", "hidden-0"])
+        (["--phase1-epochs", "0", "--phase2-epochs", "0"], "phase1_epochs and phase2_epochs"),
+        (["--mode", "bogus"], ", got 'bogus'"),
+    ], ids=["phase1-lr-nan", "phase2-lr-nan", "clip-norm-nan", "phase1-lr-inf", "hidden-0",
+            "empty-schedule", "mode-bogus"])
     def test_bad_value_rejected_before_training(self, tmp_path, data_dir, capsys, monkeypatch,
                                                 extra, message):
-        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train() was called"))
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("train() was called"))
         out = tmp_path / "out"
         assert run("train", "--data", data_dir, "--out-dir", out, *TINY_TRAIN, *extra) == 4
         assert message in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from wordctc import network, training
 from wordctc.ctc import BLANK, InfeasibleTargetError, Vocabulary, ctc_log_likelihood, greedy_decode
-from wordctc.data import SIL, Lexicon, SynthConfig, Utterance, generate_synthetic
+from wordctc.data import SIL, Lexicon, SynthConfig, Utterance, generate_synthetic, subset
 from wordctc.metrics import edit_distance, error_rate, frame_errors, pool
 from wordctc.network import Network, SequenceTooShortError, downsample_schedule, network_forward
 from wordctc.numerics import global_norm
@@ -14,12 +14,14 @@ from wordctc.training import (
     EpochRecord,
     TrainConfig,
     TrainingError,
+    TrainSpec,
     classifier_frame_predictions,
     convert_transcripts_to_phonemes,
     decode_utterances,
     evaluate,
     format_train_log,
     frame_loss_and_gradient,
+    run,
     train,
     training_perplexity,
 )
@@ -58,6 +60,28 @@ class TestTrainConfig:
             TrainConfig(phase2_decay=1.5)
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=-1)
+        with pytest.raises(ValueError, match="phase1_epochs and phase2_epochs"):
+            TrainConfig(phase1_epochs=0, phase2_epochs=0)
+        with pytest.raises(ValueError, match="got 'bogus'"):
+            TrainConfig(mode="bogus")
+
+
+class TestRun:
+    def test_seed_spawns_init_shuffle_and_subset_in_order(self, corpus, word_vocab):
+        recipe = dict(phase1_epochs=2, phase2_epochs=0)
+        spec = TrainSpec(downsample=2, layers=2, hidden=10, data_fraction=0.5, seed=3,
+                         config=TrainConfig(**recipe))
+        init, shuffle, part = np.random.SeedSequence(3).spawn(3)
+        expected = train(small_model(word_vocab, seed=init), subset(corpus.train, 0.5, part),
+                         corpus.dev, TrainConfig(**recipe, seed=shuffle))
+        got = run(spec, corpus.lexicon, corpus.train, corpus.dev)
+        assert np.array_equal(got.model.flat, expected.model.flat)
+        assert got.log == expected.log
+        assert got.n_utterances == expected.n_utterances == 5
+
+    def test_the_spec_states_the_only_seed(self):
+        with pytest.raises(ValueError, match="config.seed"):
+            TrainSpec(seed=1, config=TrainConfig(seed=1))
 
 
 class TestSchedule:

@@ -10,7 +10,8 @@ writes into OUT, in about 6 seconds:
 - word/: a 2x32 word-CTC model at down-sampling factor 4 whose bottom
   layer comes from phone/ (--init-from);
 - frame/: a 2x32 frame classifier trained at --clip-norm 0.5, so that
-  clipping changes its updates;
+  clipping changes its updates, on --data-fraction 0.5 of the training
+  split, so that the subset stream of --seed is compared too;
 - dec-*/, sc-*/, ana/: test-split hypotheses of all three models, the word
   model's WER and the frame classifier's FER report, and the word model's
   overlap, blank and margin analyses;
@@ -53,7 +54,8 @@ STEPS = [
                     "--downsample", "4", "--init-from", "phone/model.net",
                     "--init-layers", "1", *NET]),
     ("train-frame", ["train", "--data", "data", "--out-dir", "frame",
-                     "--mode", "frame-classifier", "--clip-norm", "0.5", *NET]),
+                     "--mode", "frame-classifier", "--clip-norm", "0.5", "--data-fraction", "0.5",
+                     *NET]),
     ("decode-phone", ["decode", "--model", "phone/model.net", "--data", "data/test",
                       "--out-dir", "dec-phone"]),
     ("decode-word", ["decode", "--model", "word/model.net", "--data", "data/test",
