@@ -214,12 +214,9 @@ def frequency_margin_table(emb, transcripts):
 
 
 def histogram_tsv(edges, *count_columns, names=("count",)):
-    lines = ["bin_lo\tbin_hi\t" + "\t".join(names)]
-    for i in range(len(edges) - 1):
-        row = [repr(float(edges[i])), repr(float(edges[i + 1]))]
-        row.extend(str(int(col[i])) for col in count_columns)
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+    rows = ((float(lo), float(hi), *(int(col[i]) for col in count_columns))
+            for i, (lo, hi) in enumerate(zip(edges, edges[1:])))
+    return table_tsv(("bin_lo", "bin_hi", *names), rows)
 
 
 def table_tsv(header_fields, rows):

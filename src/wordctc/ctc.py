@@ -6,7 +6,8 @@ collapses to the target, entirely in log space.  The forward variables come
 from a sweep over the blank-interleaved state sequence, and the backward ones
 from the same sweep over the time- and state-reversed lattice, read back
 reversed; the loss and gradient run both as one loop over the two lattices
-stacked.  The blank always occupies the last column of a lattice.
+stacked, and the log-likelihood is that loss negated.  The blank always
+occupies the last column of a lattice.
 """
 
 from dataclasses import dataclass
@@ -196,24 +197,18 @@ def _sweep(emit, skip):
     return out
 
 
-def _final_log_prob(alpha):
-    if alpha.shape[1] == 1:
-        return float(alpha[-1, 0])
-    return float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
-
-
 def ctc_log_likelihood(lattice, target):
-    """log p(target | lattice): the marginal over all collapsing paths.
+    """log p(target | lattice): the marginal over all collapsing paths, the
+    negated loss of `ctc_loss_and_gradient`.
 
     Returns -inf when no path of the lattice's length collapses to the
     target (including the zero-frame, nonempty-target case).
     """
-    lattice, y, blank = _validate(lattice, target)
-    if lattice.shape[0] == 0:
-        return 0.0 if not y else NEG_INF
-    sym, skip = _expanded_states(y, blank)
-    emit = lattice[:, sym]
-    return _final_log_prob(_sweep(emit[:, None], skip[None])[:, 0] + emit)
+    try:
+        loss, _ = ctc_loss_and_gradient(lattice, target)
+    except InfeasibleTargetError:
+        return NEG_INF
+    return 0.0 - loss  # not -loss, which is -0.0 for the zero-frame empty target
 
 
 def ctc_loss_and_gradient(lattice, target):
@@ -235,7 +230,8 @@ def ctc_loss_and_gradient(lattice, target):
     both = _sweep(np.stack([emit, emit[::-1, ::-1]], axis=1),
                   np.stack([skip, _expanded_states(y[::-1], blank)[1]]))
     alpha = both[:, 0] + emit
-    ll = _final_log_prob(alpha)
+    # the last two states, or the one state of an empty target
+    ll = float(np.logaddexp.reduce(alpha[-1, -2:]))
     if ll == NEG_INF:
         raise InfeasibleTargetError(
             "target of length %d has no alignment in %d frames" % (len(y), T)

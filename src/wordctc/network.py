@@ -413,19 +413,21 @@ class Network:
         """Fresh network with uniform(-0.05, 0.05) weights.
 
         All weights come from one PCG64 stream seeded with `seed`, drawn in
-        layer order (one stacked (4H, D+H) block per layer) and the softmax
-        weights last, so equal seeds give bit-identical parameters.
+        layer order (`LSTMLayer.random`'s (4H, D+H) block per layer) and the
+        softmax weights last into their views of a zero vector, so equal
+        seeds give bit-identical parameters.
         """
         rng = np.random.default_rng(seed)
-        dims = [input_dim, *hidden_dims]
-        shapes = _layout(dims[0], dims[1:], vocab.size)
-        layers = [LSTMLayer.random(d, h, rng) for d, h in zip(dims, dims[1:])]
-        w_out = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shapes[-2])
-        arrays = [a for l in layers for a in (l.w, l.b)] + [w_out, np.zeros(shapes[-1])]
+        hidden_dims = tuple(hidden_dims)
+        size = sum(math.prod(shape) for shape in _layout(input_dim, hidden_dims, vocab.size))
         if downsample is None:
-            downsample = (0,) * len(layers)
-        return cls(np.concatenate([a.ravel() for a in arrays]), dims[0], dims[1:], downsample,
-                   vocab, mode)
+            downsample = (0,) * len(hidden_dims)
+        net = cls(np.zeros(size), input_dim, hidden_dims, downsample, vocab, mode)
+        for layer in net.layers:
+            drawn = LSTMLayer.random(layer.input_dim, layer.hidden_dim, rng)
+            layer.w[...], layer.b[...] = drawn.w, drawn.b
+        net.w_out[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=net.w_out.shape)
+        return net
 
 
 @dataclass

@@ -9,8 +9,10 @@ finishes in seconds.
 
 import itertools
 import math
+import runpy
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from wordctc.analysis import (
     overlap_histograms,
     permutation_pvalue,
 )
-from wordctc.cli import main as cli_main
 from wordctc.numerics import log_softmax
 
 
@@ -261,39 +262,32 @@ def test_09_blank_margin_and_frequency(analysis_model):
         assert table.rank_correlation > 0
 
 
-def test_10_pipeline_determinism(tmp_path):
+def test_10_pipeline_determinism(tmp_path, monkeypatch):
+    # tools/parity.py runs every command and mode: both CTC modes, --init-from
+    # transfer, the frame classifier with clipping and --data-fraction,
+    # factor-16 skipping, both kinds of score, and analyze
     with criterion(10, "pipeline determinism"):
-        synth_args = [
-            "--vocab-size", "8", "--n-phonemes", "6", "--feature-dim", "4",
-            "--n-train", "12", "--n-dev", "4", "--n-test", "4",
-            "--min-words", "2", "--max-words", "3",
-            "--phoneme-duration-mean", "5", "--phoneme-duration-std", "2",
-            "--seed", "13",
-        ]
-        train_args = [
-            "--mode", "word-ctc", "--downsample", "2", "--layers", "2",
-            "--hidden", "10", "--phase1-epochs", "2", "--phase2-epochs", "1",
-            "--seed", "5",
-        ]
+        # run_all changes into its output directory; monkeypatch changes back
+        monkeypatch.chdir(tmp_path)
+        parity = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "parity.py"))
         runs = []
         for name in ("one", "two"):
-            base = tmp_path / name
-            assert cli_main(["synth", "--out-dir", str(base / "data")] + synth_args) == 0
-            assert cli_main(["train", "--data", str(base / "data"),
-                             "--out-dir", str(base / "model")] + train_args) == 0
-            assert cli_main(["decode", "--model", str(base / "model" / "model.net"),
-                             "--data", str(base / "data" / "test"),
-                             "--out-dir", str(base / "decoded")]) == 0
-            runs.append(base)
+            out = tmp_path / name
+            assert parity["run_all"](out) == 0
+            runs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
         one, two = runs
-        for rel in (
-            "data/lexicon.tsv",
-            "data/train/corpus.tsv",
-            "model/model.net",
-            "model/trainlog.tsv",
-            "decoded/hypotheses.tsv",
-        ):
-            assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
-        feats_one = sorted((one / "data/train/feats").glob("*.feat"))
-        feats_two = sorted((two / "data/train/feats").glob("*.feat"))
-        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(feats_one, feats_two))
+        assert sorted(one) == sorted(two)
+        assert [rel for rel in one if one[rel] != two[rel]] == []
+        print("  %d files byte-identical across two runs" % len(one))
+        out = tmp_path / "one"
+        logs = sorted(out.glob("*.stdout"))
+        assert len(logs) == len(parity["STEPS"])
+        assert all(log.read_text().endswith("exit 0\n") for log in logs)
+        for model in ("word", "phone"):
+            hyps = (out / ("dec-%s" % model) / "hypotheses.tsv").read_text().splitlines()
+            assert any(line.split("\t")[1] for line in hyps), model
+        assert (out / "ana" / "overlap_histogram.tsv").exists()
+        # field 7 of a trainlog line counts the epoch's skipped utterances
+        assert all(int(line.split("\t")[6]) > 0
+                   for line in (out / "word16" / "trainlog.tsv").read_text().splitlines())
+        assert "overlap_permutation_pvalue" in (out / "ana" / "summary.tsv").read_text()

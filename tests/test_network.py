@@ -799,6 +799,23 @@ class TestInit:
             np.testing.assert_array_equal(layer.b_f, 1.0)
             np.testing.assert_array_equal(layer.b_i, 0.0)
 
+    @pytest.mark.parametrize("input_dim, hidden", [(4, [6]), (3, [5, 7]), (6, [6, 6, 6])],
+                             ids=["one-layer", "input-not-hidden", "three-layers"])
+    def test_draws_follow_the_layout(self, input_dim, hidden):
+        # one stream: each layer's (4H, D+H) weights, bottom layer first, then
+        # the softmax weights; every bias 0 except the forget rows, which are 1
+        rng = np.random.default_rng(17)
+        expected = []
+        d = input_dim
+        for h in hidden:
+            b = np.zeros(4 * h)
+            b[h : 2 * h] = 1.0
+            expected += [rng.uniform(-0.05, 0.05, size=(4 * h, d + h)).ravel(), b]
+            d = h
+        expected += [rng.uniform(-0.05, 0.05, size=(VOCAB.size, d)).ravel(), np.zeros(VOCAB.size)]
+        net = Network.random(input_dim, hidden, VOCAB, "word-ctc", seed=17)
+        assert np.array_equal(net.flat, np.concatenate(expected))
+
 
 class TestCausality:
     def test_lookahead_exactly_one(self):
