@@ -9,10 +9,8 @@ finishes in seconds.
 
 import itertools
 import math
-import runpy
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,32 +260,20 @@ def test_09_blank_margin_and_frequency(analysis_model):
         assert table.rank_correlation > 0
 
 
-def test_10_pipeline_determinism(tmp_path, monkeypatch):
+def test_10_pipeline_determinism(parity_run, tmp_path, monkeypatch):
     # tools/parity.py runs every command and mode: both CTC modes, --init-from
     # transfer, the frame classifier with clipping and --data-fraction,
-    # factor-16 skipping, both kinds of score, and analyze
+    # factor-16 skipping, both kinds of score, and analyze; the first run is
+    # the one test_demos.py checks the contents of
     with criterion(10, "pipeline determinism"):
+        parity, first, code = parity_run
+        assert code == 0
         # run_all changes into its output directory; monkeypatch changes back
         monkeypatch.chdir(tmp_path)
-        parity = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "parity.py"))
-        runs = []
-        for name in ("one", "two"):
-            out = tmp_path / name
-            assert parity["run_all"](out) == 0
-            runs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
-        one, two = runs
+        second = tmp_path / "two"
+        assert parity["run_all"](second) == 0
+        one, two = ({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+                    for out in (first, second))
         assert sorted(one) == sorted(two)
         assert [rel for rel in one if one[rel] != two[rel]] == []
         print("  %d files byte-identical across two runs" % len(one))
-        out = tmp_path / "one"
-        logs = sorted(out.glob("*.stdout"))
-        assert len(logs) == len(parity["STEPS"])
-        assert all(log.read_text().endswith("exit 0\n") for log in logs)
-        for model in ("word", "phone"):
-            hyps = (out / ("dec-%s" % model) / "hypotheses.tsv").read_text().splitlines()
-            assert any(line.split("\t")[1] for line in hyps), model
-        assert (out / "ana" / "overlap_histogram.tsv").exists()
-        # field 7 of a trainlog line counts the epoch's skipped utterances
-        assert all(int(line.split("\t")[6]) > 0
-                   for line in (out / "word16" / "trainlog.tsv").read_text().splitlines())
-        assert "overlap_permutation_pvalue" in (out / "ana" / "summary.tsv").read_text()
