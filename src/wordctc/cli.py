@@ -42,7 +42,7 @@ from .data import (
     save_transcripts,
 )
 from .metrics import edit_distance, error_rate, fer_report, frame_errors, pool, score_report
-from .network import TransferError, load_network, save_network
+from .network import MODES, TransferError, load_network, save_network
 from .training import (
     TrainConfig,
     TrainingError,
@@ -119,7 +119,7 @@ _SYNTH = [
 _TRAIN = [
     Opt("data", str, None, "corpus directory written by synth", required=True),
     Opt("out_dir", str, None, "output directory", required=True),
-    *_config_opts(TrainConfig, mode="word-ctc | phoneme-ctc | frame-classifier"),
+    *_config_opts(TrainConfig, mode=" | ".join(MODES)),
     *_config_opts(
         TrainSpec,
         downsample="total frame-rate reduction factor (power of two)",

@@ -16,12 +16,14 @@ from itertools import chain, repeat
 import numpy as np
 from scipy.special import expit
 
-from .ctc import Vocabulary
-from .data import DataFormatError
+from .ctc import BLANK, Vocabulary
+from .data import SIL, DataFormatError
 from .numerics import log_softmax
 
 INIT_SCALE = 0.05
-MODES = ("word-ctc", "phoneme-ctc", "frame-classifier")
+# each mode's reserved symbol and lookahead, the frames an output lags its
+# label: output t of the frame classifier predicts frame t - 1
+MODES = {"word-ctc": (BLANK, 0), "phoneme-ctc": (BLANK, 0), "frame-classifier": (SIL, 1)}
 
 MAGIC = b"WNET"
 FORMAT_VERSION = 1
@@ -371,8 +373,12 @@ class Network:
     """
 
     def __init__(self, flat, input_dim, hidden_dims, downsample, vocab, mode):
-        if mode not in MODES:
-            raise ValueError("mode must be one of %r" % (MODES,))
+        # a checkpoint header's mode may be any JSON value, a list among them
+        if not isinstance(mode, str) or mode not in MODES:
+            raise ValueError("mode must be one of %r" % (tuple(MODES),))
+        reserved, self.lookahead = MODES[mode]
+        if vocab.reserved != reserved:
+            raise ValueError("mode %r reserves %r, not %r" % (mode, reserved, vocab.reserved))
         hidden_dims = tuple(hidden_dims)
         shapes = _layout(input_dim, hidden_dims, vocab.size)
         downsample = _ints("down-sampling counts", downsample)
@@ -393,12 +399,6 @@ class Network:
         self.vocab = vocab
         self.mode = mode
         self.version = 0
-
-    @property
-    def lookahead(self):
-        """Frames an output lags its label, fixed by the mode: output t of the
-        frame classifier predicts frame t - 1; the CTC modes have none."""
-        return 1 if self.mode == "frame-classifier" else 0
 
     def params(self):
         """Views of `flat`: each layer's per-gate blocks, then `w_out` and `b_out`."""
@@ -582,11 +582,12 @@ def save_network(net, path):
     """Single-file checkpoint.
 
     Layout: magic "WNET", u32 format version, u32 header length, a JSON
-    structure header (mode, lookahead, dims, down-sampling counts, labels),
-    then `net.flat` as raw little-endian float64, its arrays row-major in
-    the order `_layout` states.  Round-trips are bit-exact.  load_network
-    rejects a header whose lookahead is not the one its mode fixes, and a
-    non-finite parameter.
+    structure header (mode, lookahead, dims, down-sampling counts, labels,
+    reserved symbol), then `net.flat` as raw little-endian float64, its
+    arrays row-major in the order `_layout` states.  Round-trips are
+    bit-exact.  load_network rejects a header whose reserved symbol or
+    lookahead is not the one its mode fixes in MODES, and a non-finite
+    parameter.
     """
     header = {
         "mode": net.mode,

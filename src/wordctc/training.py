@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ctc import InfeasibleTargetError, Vocabulary, ctc_loss_and_gradient, greedy_decode, min_frames
-from .data import SIL, Utterance, subset
+from .data import Utterance, subset
 from .metrics import edit_distance, error_rate, frame_errors, pool
 from .network import (MODES, Network, downsample_schedule, forward_batches, network_backward,
                       network_forward, sgd_update, transfer_bottom_layers)
@@ -49,7 +49,7 @@ class TrainConfig:
         if self.phase1_epochs + self.phase2_epochs == 0:
             raise ValueError("phase1_epochs and phase2_epochs are both 0: no epoch would run")
         if self.mode not in MODES:
-            raise ValueError("mode must be one of %r, got %r" % (MODES, self.mode))
+            raise ValueError("mode must be one of %r, got %r" % (tuple(MODES), self.mode))
 
 
 @dataclass(frozen=True)
@@ -104,18 +104,14 @@ def convert_transcripts_to_phonemes(utterances, lexicon):
 
 
 def _prepare(utterances, model):
-    """Pair each utterance with its encoded target for the model's mode."""
-    vocab = model.vocab
-    prepared = []
+    """Pair each utterance with its encoded target for the model's mode: the
+    transcript under CTC, the frame alignment for the frame classifier."""
+    frames = model.mode == "frame-classifier"
     for u in utterances:
-        if model.mode == "frame-classifier":
-            if u.alignment is None:
-                raise ValueError("utterance %r has no frame alignment" % u.utt_id)
-            target = np.array([vocab.id_of(lab) for lab in u.alignment], dtype=np.int64)
-        else:
-            target = vocab.encode(u.transcript)
-        prepared.append((u.utt_id, u.features, target))
-    return prepared
+        if frames and u.alignment is None:
+            raise ValueError("utterance %r has no frame alignment" % u.utt_id)
+    return [(u.utt_id, u.features, model.vocab.encode(u.alignment if frames else u.transcript))
+            for u in utterances]
 
 
 def frame_loss_and_gradient(net, lattice, frame_labels):
@@ -297,10 +293,8 @@ def train(model, train_utterances, dev_utterances, cfg):
 
 
 def _vocab_for_mode(mode, lexicon):
-    if mode == "phoneme-ctc":
-        return Vocabulary(lexicon.inventory)
-    words = tuple(sorted(lexicon.words))
-    return Vocabulary(words, SIL) if mode == "frame-classifier" else Vocabulary(words)
+    labels = lexicon.inventory if mode == "phoneme-ctc" else sorted(lexicon.words)
+    return Vocabulary(labels, MODES[mode][0])
 
 
 def run(spec, lexicon, train_utterances, dev_utterances, init_from=None):

@@ -94,6 +94,19 @@ class TestSynth:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("args, message", [
+        (["--phoneme-duration-std", "-1"], "phoneme_duration_std must be nonnegative"),
+        (["--min-words", "3", "--max-words", "2"], "bad words-per-utterance range"),
+        (["--n-dev", "0"], "every split needs at least one utterance"),
+        (["--silence-prob", "1.5"], "silence_prob must be a probability"),
+        (["--noise-scale", "-0.1"], "noise_scale must be nonnegative"),
+    ], ids=["negative-duration-std", "words-range", "no-dev", "silence-prob", "negative-noise"])
+    def test_out_of_range_value_fails_fast(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run("synth", "--out-dir", out, *TINY_SYNTH, *args) == 4
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("mean", ["0.3", "0.5"])
     def test_duration_mean_at_most_half_a_frame(self, tmp_path, capsys, mean):
         # no duration draw would round to a frame: 0.3 has no draw to accept
@@ -177,7 +190,8 @@ class TestTrain:
     @pytest.mark.parametrize("command, line, message", [
         ("train", "layers = abc", "layers: invalid literal for int() with base 10: 'abc'"),
         ("score", "fer = maybe", "fer: not a boolean: 'maybe'"),
-    ], ids=["int", "bool"])
+        ("train", "layers 3", "expected key=value"),
+    ], ids=["int", "bool", "no-equals"])
     def test_config_value_names_file_line_and_key(self, tmp_path, capsys, command, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# a comment\n%s\n" % line)
@@ -415,6 +429,17 @@ class TestDecodeAndScore:
                    "--fer") == 0
         assert (out / "report.tsv").read_text().strip().split("\n")[-1].endswith("0.0000")
 
+    def test_score_fer_from_config(self, tmp_path, data_dir):
+        align = data_dir / "dev" / "align.tsv"
+        cfg = tmp_path / "fer.cfg"
+        cfg.write_text("fer = yes\n")
+        reports = []
+        for name, extra in (("flag", ["--fer"]), ("config", ["--config", cfg]), ("wer", [])):
+            assert run("score", "--ref", align, "--hyp", align, "--out-dir", tmp_path / name,
+                       *extra) == 0
+            reports.append((tmp_path / name / "report.tsv").read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+
     def test_score_missing_reference(self, tmp_path, data_dir):
         hyp = tmp_path / "hyp.tsv"
         hyp.write_text("ghost\tw00\n")
@@ -468,21 +493,38 @@ class TestDecodeAndScore:
                                         "huge-hidden", "float-downsample", "bool-downsample",
                                         "bool-lookahead", "nan-layer", "inf-layer", "nan-w-out",
                                         "deep-header", "tab-label", "space-label", "empty-label",
-                                        "newline-label", "space-reserved"])
+                                        "newline-label", "space-reserved", "blank-classifier",
+                                        "sil-ctc", "version-2", "short-header",
+                                        "trailing-bytes", "list-mode"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
-        reason = {"int-labels": "strings", "object-labels": "list of strings",
+        reason = {"half": "truncated", "no-labels": "header has no key 'labels'",
+                  "lookahead": "lookahead 2 does not fit mode 'word-ctc'",
+                  "int-labels": "strings", "object-labels": "list of strings",
                   "float-dims": "integers", "zero-hidden": "hidden unit",
                   "huge-hidden": "truncated",
                   "float-downsample": "integers", "bool-downsample": "integers",
-                  "bool-lookahead": "integers", "deep-header": "bad header"}
+                  "bool-lookahead": "integers", "deep-header": "bad header",
+                  "downsampled-classifier": "requires down-sampling factor 1",
+                  "blank-classifier": "mode 'frame-classifier' reserves 'SIL', not '<blk>'",
+                  "sil-ctc": "mode 'word-ctc' reserves '<blk>', not 'SIL'",
+                  "version-2": "unsupported format version 2",
+                  "trailing-bytes": "8 trailing bytes", "list-mode": "mode must be one of"}
         # labels that hypotheses.tsv could not write as one token
         relabel = {"tab-label": "w00\tXX", "space-label": "w00 XX", "empty-label": "",
                    "newline-label": "w00\nw01", "space-reserved": "<b lk>"}
         reason.update((d, "label %r is empty or holds whitespace" % label)
                       for d, label in relabel.items())
+        (header_len,) = struct.unpack_from("<I", blob, 8)
         if damage == "half":
             blob = blob[: len(blob) // 2]
+        elif damage == "version-2":
+            blob = blob[:4] + struct.pack("<I", 2) + blob[8:]
+        elif damage == "short-header":
+            blob = blob[: 12 + header_len - 1]
+            reason[damage] = "header truncated at byte %d" % len(blob)
+        elif damage == "trailing-bytes":
+            blob += bytes(8)
         elif damage == "deep-header":
             # nested past the JSON parser's recursion limit
             text = b"[" * 100_000 + b"]" * 100_000
@@ -496,7 +538,6 @@ class TestDecodeAndScore:
             blob = blob[:at] + struct.pack("<d", bad) + blob[at + 8 :]
             reason[damage] = "non-finite parameter at byte %d" % at
         else:
-            (header_len,) = struct.unpack_from("<I", blob, 8)
             header = json.loads(blob[12 : 12 + header_len])
             if damage == "no-labels":
                 del header["labels"]
@@ -525,9 +566,15 @@ class TestDecodeAndScore:
                 header["reserved"] = relabel[damage]
             elif damage in relabel:
                 header["labels"][0] = relabel[damage]
+            elif damage == "list-mode":
+                header["mode"] = [header["mode"]]
+            elif damage == "sil-ctc":
+                header["reserved"] = "SIL"
+            elif damage == "blank-classifier":
+                header["mode"] = "frame-classifier"
             else:
                 # the model halves its frame rate, which a frame classifier cannot
-                header["mode"] = "frame-classifier"
+                header["mode"], header["reserved"] = "frame-classifier", "SIL"
             text = json.dumps(header).encode()
             blob = blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :]
         broken = tmp_path / "broken.net"
@@ -607,6 +654,18 @@ def _all_layers_transferred(data):
             [re.escape(str(source)), "--init-layers 2: can replace 0 to 1 of the destination's 2"])
 
 
+def _feat_version_2(data):
+    feat = sorted((data / "train" / "feats").glob("*.feat"))[0]
+    blob = feat.read_bytes()
+    feat.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    return [], [re.escape("%s: unsupported feature version 2" % feat)]
+
+
+def _no_train_corpus(data):
+    (data / "train" / "corpus.tsv").unlink()
+    return [], [re.escape("%s: no corpus.tsv" % (data / "train"))]
+
+
 def _diverge(data):
     return ["--phase1-lr", "1e300", "--clip-norm", "1e300"], [r"epoch 1: utterance train-\d+"]
 
@@ -660,6 +719,7 @@ class TestTrainFailureModes:
     @pytest.mark.parametrize("damage, code", [
         (_nan_frame, 3), (_empty_train, 3), (_narrow_frame, 3), (_zero_dim_frame, 3),
         (_missing_dev_feat, 3), (_sil_word, 3), (_blank_phoneme, 3), (_blank_word, 3),
+        (_feat_version_2, 3), (_no_train_corpus, 3),
         (_narrow_dev, 4), (_wide_checkpoint, 4), (_narrow_checkpoint, 4),
         (_all_layers_transferred, 4), (_diverge, 5), (_zero_probability, 5), (_overflow_update, 5),
     ])
@@ -755,6 +815,22 @@ class TestAnalyze:
         save_network(Network.random(8, [6], vocab, "word-ctc", seed=0), "run/model.net")
         assert run(*shlex.split(command)[1:]) == 0
         assert (tmp_path / "ana" / "blank_histogram.tsv").exists()
+
+    def test_no_report_flag_writes_every_report(self, tmp_path, monkeypatch):
+        # 51 words: enough for the overlap report's far band
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--out-dir", "data", "--vocab-size", "51", "--n-train", "20",
+                   "--n-dev", "2", "--n-test", "2") == 0
+        vocab = Vocabulary(tuple(sorted(load_lexicon("data/lexicon.tsv").words)))
+        save_network(Network.random(8, [6], vocab, "word-ctc", seed=0), "model.net")
+        common = ["analyze", "--model", "model.net", "--lexicon", "data/lexicon.tsv",
+                  "--transcripts", "data/train/corpus.tsv"]
+        assert run(*common, "--out-dir", "every") == 0
+        assert run(*common, "--out-dir", "flagged", "--overlap", "--blank", "--margin") == 0
+        names = ["overlap_histogram.tsv", "blank_histogram.tsv", "margin_table.tsv", "summary.tsv"]
+        assert sorted(p.name for p in Path("every").iterdir()) == sorted(names)
+        for name in names:
+            assert (Path("every") / name).read_bytes() == (Path("flagged") / name).read_bytes()
 
     def test_overlap_needs_enough_words(self, tmp_path, data_dir, model_dir):
         out = tmp_path / "ana2"

@@ -793,6 +793,16 @@ class TestInit:
         with pytest.raises(ValueError, match="integers"):
             Network.random(input_dim, hidden, VOCAB, "word-ctc", downsample=downsample)
 
+    @pytest.mark.parametrize("mode, reserved, fixed", [
+        ("frame-classifier", "<blk>", "SIL"), ("word-ctc", "SIL", "<blk>"),
+        ("phoneme-ctc", "SIL", "<blk>"),
+    ], ids=["blank-classifier", "sil-ctc", "sil-phoneme-ctc"])
+    def test_reserved_symbol_fixed_by_mode(self, mode, reserved, fixed):
+        vocab = Vocabulary(("a", "b"), reserved)
+        with pytest.raises(ValueError) as info:
+            Network.random(3, [4], vocab, mode)
+        assert str(info.value) == "mode %r reserves %r, not %r" % (mode, fixed, reserved)
+
     def test_forget_bias_one(self):
         net = tiny_net()
         for layer in net.layers:

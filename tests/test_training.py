@@ -196,6 +196,19 @@ class TestSkipping:
             train(model, corpus.train, corpus.dev, cfg)
         assert "skipping" not in caplog.text
 
+    def test_non_finite_frame_loss_stops_training(self, corpus, caplog, recwarn):
+        # every word's logit sits 2e308 below SIL's, so log_softmax gives
+        # each word -inf and a word frame's cross entropy is inf
+        vocab = Vocabulary(tuple(sorted(corpus.lexicon.words)), SIL)
+        model = small_model(vocab, mode="frame-classifier", factor=1)
+        model.b_out[:] = -1e308
+        model.b_out[vocab.id_of(SIL)] = 1e308
+        cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, seed=0, mode="frame-classifier")
+        with pytest.raises(TrainingError, match=r"^epoch 1: utterance train-\d+: loss is inf$"):
+            train(model, corpus.train, corpus.dev, cfg)
+        assert "skipping" not in caplog.text
+        assert not [str(w.message) for w in recwarn]
+
     def test_mode_mismatch_rejected(self, corpus, word_vocab):
         cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, seed=0, mode="phoneme-ctc")
         with pytest.raises(ValueError):
