@@ -30,7 +30,8 @@ FORMAT_VERSION = 1
 
 # arrays a forward_batches batch holds live in its widest layer: the
 # features twice and that layer's input and hidden rows; lstm_forward's
-# gate block, an eighth of this, comes on top
+# gate block, an eighth of this, comes on top, and a second block of at
+# most that size, the input projection it transposes into the gates
 MAX_BATCH_BYTES = 4 * 2**20
 
 
@@ -236,9 +237,23 @@ def lstm_forward(layer, inputs, lengths=None):
     run in one block and keeps every step's cell row; a batch keeps one
     cell row per sequence.  The state before step 0 is stored as zeros,
     the tape's first cell row among it, so every step runs the same body.
-    A batch of one sequence gives the taped outputs bit for bit while its
-    rows fit one gate block; past that, a block's projection can round
-    differently, within 1e-12 in the tests.
+
+    A step's gates are gate-major, one (4, b, hidden) block: a block of
+    steps is projected into a scratch buffer of the gate block's size, and
+    one transposing add writes it into the gates with the bias.  At one
+    row the block is the step's 4 * hidden row of the tape, the recurrent
+    product is whc . h_prev and the gates take expit and tanh, as they
+    always have; that is every step of one sequence, whose tape training
+    reads, and a batch's one-row tail.  A step of several rows, which only
+    a batch has, takes h_prev . whT4, one transposed block per gate, and
+    all four gates from one tanh, with sigma(a) = (1 + tanh(a/2)) / 2:
+    at several rows expit costs per element, at one row it is no slower.
+    Halving a is exact; against expit a sigmoid moves by at most 2.3e-16,
+    and one under about 3e-17, where a < -38, rounds to exactly 0.
+    Batched hidden rows stay within 1e-12 relative of the one-sequence
+    loop in the tests, saturated gates included, and a batch of one
+    sequence gives the taped outputs bit for bit while its rows fit one
+    gate block; past that, a block's projection can round differently.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
@@ -254,8 +269,6 @@ def lstm_forward(layer, inputs, lengths=None):
     wx = layer.w[:, :D].T
     whc = np.ascontiguousarray(layer.w[:, D:])
     width = int(sizes[0]) if N else 0
-    # only a batch of several sequences has steps of several rows to read it
-    whT = np.ascontiguousarray(whc.T) if width > 1 else None
     # the state before step 0 is zeros (only it; the rest is written first):
     # `width` hidden rows before h's, a batch's cell rows or one before the tape's
     hz = np.empty((width + N, H))
@@ -263,39 +276,56 @@ def lstm_forward(layer, inputs, lengths=None):
     c = np.empty((N + 1 if keep else width, H))
     hz[:width] = c[: 1 if keep else width] = 0
     tmp = np.empty((width, H))
-    rec = np.empty((width, 4 * H))
+    rec = np.empty(4 * width * H)
     block_rows = N if keep else max(width, MAX_BATCH_BYTES // 8 // (4 * H * 8))
     gates = np.empty((min(N, block_rows), 4 * H))
+    proj = np.empty_like(gates)
+    bias = layer.b.reshape(4, 1, H)
+    # only a batch of several sequences has steps of several rows to read it
+    whT4 = np.ascontiguousarray(whc.reshape(4, H, H).transpose(0, 2, 1)) if width > 1 else None
     # r is the block's first row and pb the width of the step before it,
     # whose first rows in hz are the block's previous hidden state
     r, pb = 0, width
     for b, n_steps in runs:
         per = block_rows // b
+        wide = b > 1
+        # whc . h_prev for one row, h_prev . whT4 for several, gate-major
+        product = np.matmul if wide else np.dot
+        rc = rec[: 4 * b * H]
+        out = rc.reshape(4, b, H) if wide else rc
+        tm = _steps(tmp, 0, 1, b)[0]
         for done in range(0, n_steps, per):
             m = min(per, n_steps - done)
-            np.matmul(x[r : r + m * b], wx, out=gates[: m * b])
-            gates[: m * b] += layer.b
-            g = _steps(gates, 0, m, b)
+            # gate-major: each step's gates are one (4, b, H) block, which
+            # at one row is its 4H row of the tape, seen as (4, H)
+            g4 = gates.reshape(-1)[: m * 4 * b * H].reshape(m, 4, b, H)
+            np.matmul(x[r : r + m * b], wx, out=proj[: m * b])
+            np.add(proj[: m * b].reshape(m, b, 4, H).transpose(0, 2, 1, 3), bias, out=g4)
+            g = g4 if wide else g4[:, :, 0]
             hr = _steps(h, r, m, b)
-            # whc . h_prev for one row, h_prev . whT for several
             prev = chain(_steps(hz, width + r - pb, 1, b), hr[:-1])
-            mats = (repeat(whc), prev) if b == 1 else (prev, repeat(whT))
+            mats = (prev, repeat(whT4)) if wide else (repeat(whc), prev)
             # one sequence keeps every step's cell row; a batch updates one in
             # place, as one view that numpy need not check for overlap
             if keep:
                 cells, prev_cells = c[r + 1 : r + 1 + m], c[r : r + m]
             else:
                 cells = prev_cells = repeat(_steps(c, 0, 1, b)[0])
-            for a, sg, gg, ig, fg, og, cell, cp, hrow, left, right, tm, rc in zip(
-                g, g[..., : 3 * H], g[..., 3 * H :],
-                g[..., :H], g[..., H : 2 * H], g[..., 2 * H : 3 * H],
+            for a, sg, ig, fg, og, gg, cell, cp, hrow, left, right in zip(
+                g4.reshape(m, -1), g[:, :3], g[:, 0], g[:, 1], g[:, 2], g[:, 3],
                 cells, prev_cells, hr, *mats,
-                repeat(_steps(tmp, 0, 1, b)[0]), repeat(_steps(rec, 0, 1, b)[0]),
             ):
-                np.dot(left, right, out=rc)
+                product(left, right, out=out)
                 a += rc
-                expit(sg, out=sg)  # the sigmoid gates i, f and o
-                np.tanh(gg, out=gg)  # the candidate g
+                if wide:
+                    # sigma(a) = (1 + tanh(a/2)) / 2 for the gates i, f and o
+                    sg *= 0.5
+                    np.tanh(a, out=a)
+                    sg *= 0.5
+                    sg += 0.5
+                else:
+                    expit(sg, out=sg)  # the sigmoid gates i, f and o
+                    np.tanh(gg, out=gg)  # the candidate g
                 np.multiply(fg, cp, out=cell)
                 np.multiply(ig, gg, out=tm)
                 cell += tm
@@ -498,7 +528,8 @@ def forward_batches(net, features):
     as its batch is done.  A batch keeps no tape, so an utterance is
     charged its features twice, packed and as network_forward's float64
     copy, plus the input and hidden rows of its widest layer; the gate
-    block lstm_forward reuses is a fixed MAX_BATCH_BYTES // 8 on top.
+    and projection blocks lstm_forward reuses are a fixed
+    MAX_BATCH_BYTES // 8 each on top.
     """
     order = sorted((i for i, f in enumerate(features) if len(f) >> sum(net.downsample)),
                    key=lambda i: -len(features[i]))

@@ -277,22 +277,31 @@ class TestPackedLSTMForward:
         ([120] + [3] * 12, 1.0),        # one long utterance, many short
         ([40, 33, 33, 17, 2], 10.0),    # weights x10: saturated gates
         ([41, 7, 3], 3.0),              # a long one-row tail after wider steps
+        ([30, 30, 12, 4], 100.0),       # weights x100: |a| >> 40, saturated sigmoids
     ])
     def test_batch_matches_each_utterance(self, monkeypatch, lengths, scale):
         rng = np.random.default_rng(len(lengths))
         layer = LSTMLayer(LSTMLayer.random(5, 6, rng).w * scale, rng.normal(size=24))
         seqs = [rng.normal(scale=scale, size=(n, 5)) for n in lengths]
         packed, lens = pack(seqs)
-        wants = [_reference_lstm_forward(layer, seq)[0] for seq in seqs]
-        # the default gate budget, then gate blocks of 4 rows of a 6-unit
-        # layer (or of the first step's rows, when wider), so that wide runs
-        # and the one-row tail split into several blocks of whole steps
-        for budget in (network.MAX_BATCH_BYTES, 8 * 4 * 4 * 6 * 8):
-            monkeypatch.setattr(network, "MAX_BATCH_BYTES", budget)
-            h, tape = lstm_forward(layer, packed, lens)
-            assert tape is None
-            for got, want in zip(unpack(h, lens), wants):
-                assert _close(got, want)
+        refs = [_reference_lstm_forward(layer, seq) for seq in seqs]
+        # an overflow in the wide steps' halving of a or gate-major add
+        # raises; steps of several rows take their sigmoids from tanh
+        with np.errstate(all="raise"):
+            # the default gate budget, then gate blocks of 4 rows of a 6-unit
+            # layer (or of the first step's rows, when wider), so that wide
+            # runs and the one-row tail split into several blocks of whole steps
+            for budget in (network.MAX_BATCH_BYTES, 8 * 4 * 4 * 6 * 8):
+                monkeypatch.setattr(network, "MAX_BATCH_BYTES", budget)
+                h, tape = lstm_forward(layer, packed, lens)
+                assert tape is None
+                for got, (want, _) in zip(unpack(h, lens), refs):
+                    assert _close(got, want)
+        if scale == 100.0:
+            # expit leaves sigmoid gates of about 1e-18 and less, which the
+            # tanh form rounds to exactly 0
+            sigmoids = np.concatenate([gates[:, : 3 * 6] for _, (_, gates, _, _) in refs])
+            assert 0 < sigmoids[sigmoids > 0].min() < 1e-17
 
     @pytest.mark.parametrize("block_rows", [5, 16])
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
