@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as scipy_stats
 
+from .data import table_tsv
+
 CLOSE_RANKS = (1, 3)  # overlap_histograms' close neighbor band
 FAR_RANKS = (48, 50)  # overlap_histograms' far neighbor band
 BLANK_TOP = 25  # blank_distance_report's nearest-neighbor count
@@ -216,11 +218,4 @@ def frequency_margin_table(emb, transcripts):
 def histogram_tsv(edges, *count_columns, names=("count",)):
     rows = ((float(lo), float(hi), *(int(col[i]) for col in count_columns))
             for i, (lo, hi) in enumerate(zip(edges, edges[1:])))
-    return table_tsv(("bin_lo", "bin_hi", *names), rows)
-
-
-def table_tsv(header_fields, rows):
-    lines = ["\t".join(header_fields)]
-    for row in rows:
-        lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return table_tsv([("bin_lo", "bin_hi", *names), *rows])

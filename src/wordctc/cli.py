@@ -27,7 +27,6 @@ from .analysis import (
     histogram_tsv,
     overlap_histograms,
     permutation_pvalue,
-    table_tsv,
 )
 from .data import (
     DataFormatError,
@@ -40,6 +39,7 @@ from .data import (
     read_lines,
     save_synth_corpus,
     save_transcripts,
+    table_tsv,
 )
 from .metrics import edit_distance, error_rate, fer_report, frame_errors, pool, score_report
 from .network import MODES, TransferError, load_network, save_network
@@ -397,15 +397,11 @@ def cmd_analyze(opts, out):
             (w, int(c), float(m))
             for w, c, m in zip(table.words, table.counts, table.margins)
         ]
-        out.write_text("margin_table.tsv", table_tsv(("word", "count", "margin"), rows))
+        out.write_text("margin_table.tsv", table_tsv([("word", "count", "margin"), *rows]))
         corr = "undefined" if table.rank_correlation is None else table.rank_correlation
         summary.append(("frequency_margin_spearman", corr))
-    out.write_text(
-        "summary.tsv",
-        table_tsv(("metric", "value"), summary),
-    )
-    for name, value in summary:
-        print("%s\t%s" % (name, value))
+    out.write_text("summary.tsv", table_tsv([("metric", "value"), *summary]))
+    print(table_tsv(summary), end="")
     return EXIT_OK
 
 

@@ -1,6 +1,8 @@
 """Dataset types, on-disk formats, and the synthetic corpus generator.
 
-File formats (all integers little-endian, all text UTF-8, tab-separated):
+Every table written, these files and the reports alike, is UTF-8 `table_tsv`
+text: a line a row, fields tab-separated, a float as its repr, any header as
+the first row.  File formats (integers little-endian):
 
   *.feat       binary features: magic "FEAT", u32 version, u32 T, u32 d,
                then T*d float32 values row-major.
@@ -199,11 +201,17 @@ def load_transcripts(path):
     return {fields[0]: tuple(fields[-1].split()) for _, fields in _keyed_records(path, (2, 3))}
 
 
+def table_tsv(rows):
+    """The rows as tab-separated lines, a float field as its repr and any
+    other field as str; an empty table is one newline."""
+    return "\n".join("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                     for row in rows) + "\n"
+
+
 def save_transcripts(transcripts, path):
     """Write id -> token sequence as id<TAB>space-separated tokens lines,
     in the mapping's order."""
-    lines = ["%s\t%s" % (key, " ".join(tokens)) for key, tokens in transcripts.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(table_tsv((key, " ".join(tokens)) for key, tokens in transcripts.items()))
 
 
 def save_lexicon(lexicon, path):
@@ -238,8 +246,8 @@ def save_corpus(utterances, out_dir):
     for u in utterances:
         rel = "feats/%s.feat" % u.utt_id
         save_features(out / rel, u.features)
-        manifest.append("%s\t%s\t%s" % (u.utt_id, rel, " ".join(u.transcript)))
-    (out / "corpus.tsv").write_text("\n".join(manifest) + "\n")
+        manifest.append((u.utt_id, rel, " ".join(u.transcript)))
+    (out / "corpus.tsv").write_text(table_tsv(manifest))
     aligned = {u.utt_id: u.alignment for u in utterances if u.alignment is not None}
     if aligned:
         save_transcripts(aligned, out / "align.tsv")

@@ -12,6 +12,8 @@ serve FER as well.
 
 from dataclasses import dataclass
 
+from .data import table_tsv
+
 
 @dataclass(frozen=True)
 class EditStats:
@@ -94,11 +96,11 @@ def pool(stats_iter):
 
 def _report(header, counts, rows):
     rows = list(rows)
-    lines = [header]
+    table = [header]
     for utt_id, st in rows + [("ALL", pool(st for _, st in rows))]:
         rate = "n/a" if st.ref_len == 0 else "%.4f" % error_rate(st)
-        lines.append("\t".join([utt_id, *("%d" % n for n in counts(st)), rate]))
-    return "\n".join(lines) + "\n"
+        table.append((utt_id, *counts(st), rate))
+    return table_tsv(table)
 
 
 def score_report(rows):
@@ -107,7 +109,7 @@ def score_report(rows):
     rows: iterable of (utterance id, EditStats).  The pooled line has id ALL.
     """
     return _report(
-        "id\tsub\tdel\tins\tref_len\terror_rate",
+        ("id", "sub", "del", "ins", "ref_len", "error_rate"),
         lambda st: (st.substitutions, st.deletions, st.insertions, st.ref_len),
         rows,
     )
@@ -118,4 +120,5 @@ def fer_report(rows):
 
     rows: iterable of (utterance id, EditStats from frame_errors).
     """
-    return _report("id\twrong\tframes\tframe_error_rate", lambda st: (st.total, st.ref_len), rows)
+    return _report(("id", "wrong", "frames", "frame_error_rate"),
+                   lambda st: (st.total, st.ref_len), rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ctc import InfeasibleTargetError, Vocabulary, ctc_loss_and_gradient, greedy_decode, min_frames
-from .data import Utterance, subset
+from .data import Utterance, subset, table_tsv
 from .metrics import edit_distance, error_rate, frame_errors, pool
 from .network import (MODES, Network, downsample_schedule, forward_batches, network_backward,
                       network_forward, sgd_update, transfer_bottom_layers)
@@ -103,11 +103,20 @@ def convert_transcripts_to_phonemes(utterances, lexicon):
             for u in utterances]
 
 
+def _check_splits(train_utterances, dev_utterances):
+    if not train_utterances or not dev_utterances:
+        raise ValueError("train and dev sets must be nonempty")
+
+
 def _prepare(utterances, model):
     """Pair each utterance with its encoded target for the model's mode: the
-    transcript under CTC, the frame alignment for the frame classifier."""
+    transcript under CTC, the frame alignment for the frame classifier.
+    Every utterance must have the model's feature dimension."""
     frames = model.mode == "frame-classifier"
     for u in utterances:
+        if u.features.shape[1:] != (model.input_dim,):
+            raise ValueError("utterance %r: expected (T, %d) features, got %r"
+                             % (u.utt_id, model.input_dim, u.features.shape))
         if frames and u.alignment is None:
             raise ValueError("utterance %r has no frame alignment" % u.utt_id)
     return [(u.utt_id, u.features, model.vocab.encode(u.alignment if frames else u.transcript))
@@ -227,8 +236,7 @@ def train(model, train_utterances, dev_utterances, cfg):
     probability, a non-finite loss or gradient norm, before the update it
     would corrupt, and an update that overflows.
     """
-    if not train_utterances or not dev_utterances:
-        raise ValueError("train and dev sets must be nonempty")
+    _check_splits(train_utterances, dev_utterances)
     if cfg.mode != model.mode:
         raise ValueError("config mode %r != model mode %r" % (cfg.mode, model.mode))
     schedule = ([(1, cfg.phase1_lr)] * cfg.phase1_epochs
@@ -237,6 +245,8 @@ def train(model, train_utterances, dev_utterances, cfg):
     rng = np.random.default_rng(cfg.seed)
     prepared = _prepare(train_utterances, model)
     dev_prepared = _prepare(dev_utterances, model)
+    if not any(target for _, _, target in dev_prepared):
+        raise ValueError("no dev utterance has a target to score against")
     feasible = [_feasible(model, features, target) for _, features, target in prepared]
     if not any(feasible):
         raise TrainingError("every utterance is infeasible")
@@ -301,6 +311,7 @@ def run(spec, lexicon, train_utterances, dev_utterances, init_from=None):
     """`train` on the corpus as `wordctc train` does: phoneme CTC converts both
     splits through the lexicon, the training set is cut to the data share,
     and the fresh network takes `init_from`'s bottom layers when given one."""
+    _check_splits(train_utterances, dev_utterances)
     mode = spec.config.mode
     if mode == "phoneme-ctc":
         train_utterances = convert_transcripts_to_phonemes(train_utterances, lexicon)
@@ -319,7 +330,5 @@ def run(spec, lexicon, train_utterances, dev_utterances, init_from=None):
 def format_train_log(records):
     """One TSV record per epoch, fields in fixed order:
     epoch, phase, lr, train_loss, train_perplexity, dev_metric, skipped."""
-    lines = ["%d\t%d\t%r\t%r\t%r\t%r\t%d" % (r.epoch, r.phase, r.lr, r.train_loss,
-                                             r.train_perplexity, r.dev_metric, r.skipped)
-             for r in records]
-    return "\n".join(lines) + "\n"
+    return table_tsv((r.epoch, r.phase, r.lr, r.train_loss, r.train_perplexity, r.dev_metric,
+                      r.skipped) for r in records)

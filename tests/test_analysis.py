@@ -12,10 +12,9 @@ from wordctc.analysis import (
     overlap_histograms,
     permutation_pvalue,
     pronunciation_overlap,
-    table_tsv,
 )
 from wordctc.ctc import Vocabulary
-from wordctc.data import Lexicon
+from wordctc.data import Lexicon, table_tsv
 
 
 def make_embedding(vectors, labels=None, reserved="<blk>"):
@@ -270,5 +269,5 @@ class TestRendering:
         assert len(lines) == 3
 
     def test_table_tsv(self):
-        text = table_tsv(("word", "margin"), [("a", 0.5)])
+        text = table_tsv([("word", "margin"), ("a", 0.5)])
         assert text == "word\tmargin\na\t0.5\n"

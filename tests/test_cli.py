@@ -431,14 +431,16 @@ class TestDecodeAndScore:
 
     def test_score_fer_from_config(self, tmp_path, data_dir):
         align = data_dir / "dev" / "align.tsv"
-        cfg = tmp_path / "fer.cfg"
-        cfg.write_text("fer = yes\n")
+        yes, no = tmp_path / "yes.cfg", tmp_path / "no.cfg"
+        yes.write_text("fer = yes\n")
+        no.write_text("fer = no\n")
         reports = []
-        for name, extra in (("flag", ["--fer"]), ("config", ["--config", cfg]), ("wer", [])):
+        for name, extra in (("flag", ["--fer"]), ("config", ["--config", yes]), ("wer", []),
+                            ("config-no", ["--config", no])):
             assert run("score", "--ref", align, "--hyp", align, "--out-dir", tmp_path / name,
                        *extra) == 0
             reports.append((tmp_path / name / "report.tsv").read_bytes())
-        assert reports[0] == reports[1] != reports[2]
+        assert reports[0] == reports[1] != reports[2] == reports[3]
 
     def test_score_missing_reference(self, tmp_path, data_dir):
         hyp = tmp_path / "hyp.tsv"
@@ -495,7 +497,8 @@ class TestDecodeAndScore:
                                         "deep-header", "tab-label", "space-label", "empty-label",
                                         "newline-label", "space-reserved", "blank-classifier",
                                         "sil-ctc", "version-2", "short-header",
-                                        "trailing-bytes", "list-mode"])
+                                        "trailing-bytes", "list-mode", "no-layers",
+                                        "empty-downsample", "negative-downsample"])
     def test_malformed_checkpoint(self, tmp_path, data_dir, model_dir, capsys, damage):
         blob = (model_dir / "model.net").read_bytes()
         reason = {"half": "truncated", "no-labels": "header has no key 'labels'",
@@ -509,7 +512,10 @@ class TestDecodeAndScore:
                   "blank-classifier": "mode 'frame-classifier' reserves 'SIL', not '<blk>'",
                   "sil-ctc": "mode 'word-ctc' reserves '<blk>', not 'SIL'",
                   "version-2": "unsupported format version 2",
-                  "trailing-bytes": "8 trailing bytes", "list-mode": "mode must be one of"}
+                  "trailing-bytes": "8 trailing bytes", "list-mode": "mode must be one of",
+                  "no-layers": "bad header (need at least one LSTM layer)",
+                  "empty-downsample": "one nonnegative int per layer",
+                  "negative-downsample": "one nonnegative int per layer"}
         # labels that hypotheses.tsv could not write as one token
         relabel = {"tab-label": "w00\tXX", "space-label": "w00 XX", "empty-label": "",
                    "newline-label": "w00\nw01", "space-reserved": "<b lk>"}
@@ -560,6 +566,12 @@ class TestDecodeAndScore:
                 header["downsample"] = [float(c) for c in header["downsample"]]
             elif damage == "bool-downsample":
                 header["downsample"] = [bool(c) for c in header["downsample"]]
+            elif damage == "no-layers":
+                header["hidden_dims"] = []
+            elif damage == "empty-downsample":
+                header["downsample"] = []
+            elif damage == "negative-downsample":
+                header["downsample"] = [-1] * len(header["downsample"])
             elif damage == "bool-lookahead":
                 header["lookahead"] = bool(header["lookahead"])
             elif damage == "space-reserved":
@@ -647,6 +659,13 @@ def _narrow_checkpoint(data):
             ["--init-from " + re.escape(str(source)), "layer 0 shape mismatch"])
 
 
+def _shallow_checkpoint(data):
+    source = data / "shallow.net"
+    save_network(Network.random(4, [10], Vocabulary(("a", "b")), "phoneme-ctc", seed=0), source)
+    return (["--init-from", source, "--init-layers", "2", "--layers", "3"],
+            [re.escape(str(source)), "source has only 1 layers"])
+
+
 def _all_layers_transferred(data):
     source = data / "source.net"
     save_network(Network.random(4, [10, 10], Vocabulary(("a", "b")), "phoneme-ctc", seed=0), source)
@@ -688,13 +707,17 @@ def _missing_dev_feat(data):
     return [], [re.escape("%s line " % (data / "dev" / "corpus.tsv")), re.escape(str(feat))]
 
 
-def _lexicon_entry(data, entry):
+def _lexicon_entry(data, entry, problem="reserved"):
     """Append `entry` to the lexicon; the patterns of a message that names its line."""
     lexicon = data / "lexicon.tsv"
     line = lexicon.read_text().count("\n") + 1
     with lexicon.open("a") as fh:
         fh.write(entry + "\n")
-    return [re.escape("%s line %d: " % (lexicon, line)), "reserved"]
+    return [re.escape("%s line %d: " % (lexicon, line)), problem]
+
+
+def _empty_pronunciation(data):
+    return [], _lexicon_entry(data, "w00\t", "empty pronunciation for 'w00'")
 
 
 def _sil_word(data):
@@ -721,7 +744,8 @@ class TestTrainFailureModes:
         (_missing_dev_feat, 3), (_sil_word, 3), (_blank_phoneme, 3), (_blank_word, 3),
         (_feat_version_2, 3), (_no_train_corpus, 3),
         (_narrow_dev, 4), (_wide_checkpoint, 4), (_narrow_checkpoint, 4),
-        (_all_layers_transferred, 4), (_diverge, 5), (_zero_probability, 5), (_overflow_update, 5),
+        (_all_layers_transferred, 4), (_shallow_checkpoint, 4), (_empty_pronunciation, 3),
+        (_diverge, 5), (_zero_probability, 5), (_overflow_update, 5),
     ])
     def test_exit_code_message_and_no_outputs(self, tmp_path, data_dir, capsys, recwarn,
                                               damage, code):
@@ -745,8 +769,9 @@ class TestTrainFailureModes:
         (["--layers", "1", "--hidden", "0"], "hidden unit"),
         (["--phase1-epochs", "0", "--phase2-epochs", "0"], "phase1_epochs and phase2_epochs"),
         (["--mode", "bogus"], ", got 'bogus'"),
+        (["--phase1-epochs", "-1"], "epoch counts must be nonnegative"),
     ], ids=["phase1-lr-nan", "phase2-lr-nan", "clip-norm-nan", "phase1-lr-inf", "hidden-0",
-            "empty-schedule", "mode-bogus"])
+            "empty-schedule", "mode-bogus", "phase1-epochs-negative"])
     def test_bad_value_rejected_before_training(self, tmp_path, data_dir, capsys, monkeypatch,
                                                 extra, message):
         monkeypatch.setattr(training, "train", lambda *args: pytest.fail("train() was called"))

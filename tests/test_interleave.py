@@ -16,6 +16,8 @@ TOY = {
                            "--n-dev", "2", "--n-test", "2"], "epochs": 1},
     "train-phone-ds1": {"synth": ["--seed", "0", "--n-train", "6", "--n-dev", "2",
                                   "--n-test", "2"], "subset": 4},
+    "train-word-ds4": {"synth": ["--seed", "0", "--n-train", "6", "--n-dev", "2",
+                                 "--n-test", "2"], "subset": 4},
 }
 
 
@@ -27,18 +29,18 @@ def interleave():
     return tool
 
 
-@pytest.mark.parametrize("workload", ["decode", "train"])
+@pytest.mark.parametrize("workload", sorted(TOY))
 def test_one_tree_on_both_sides_gives_equal_outputs(interleave, monkeypatch, capsys, workload):
-    name = interleave.WORKLOADS[workload][1]
-    monkeypatch.setitem(interleave.bench.WORKLOADS, name,
-                        {**interleave.bench.WORKLOADS[name], **TOY[name]})
+    assert sorted(TOY) == sorted(interleave.bench.WORKLOADS)
+    monkeypatch.setitem(interleave.bench.WORKLOADS, workload,
+                        {**interleave.bench.WORKLOADS[workload], **TOY[workload]})
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     src = str(ROOT / "src")
     assert interleave.main([src, src, workload, "--pairs", "3"]) == 0
     [line] = capsys.readouterr().out.splitlines()
     result = json.loads(line)
-    assert result["workload"] == workload and result["perfbench_workload"] == name
+    assert result["workload"] == workload
     assert result["pairs"] == 3
     assert result["outputs_equal"] is True and result["max_abs_diff"] == 0.0
     assert 0 <= result["change_faster_pairs"] <= 3
@@ -50,7 +52,7 @@ def test_one_tree_on_both_sides_gives_equal_outputs(interleave, monkeypatch, cap
 
 def test_missing_package_is_named(tmp_path):
     done = subprocess.run(
-        [sys.executable, str(TOOL), str(tmp_path), str(ROOT / "src"), "decode", "--pairs", "2"],
+        [sys.executable, str(TOOL), str(tmp_path), str(ROOT / "src"), "eval-64w", "--pairs", "2"],
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 1
     assert "no wordctc package under %s" % tmp_path in done.stderr

@@ -79,6 +79,25 @@ class TestRun:
         assert got.log == expected.log
         assert got.n_utterances == expected.n_utterances == 5
 
+    @pytest.mark.parametrize("mode, splits, match", [
+        ("word-ctc", lambda c: ([], c.dev), r"^train and dev sets must be nonempty$"),
+        ("word-ctc", lambda c: (c.train, [Utterance(u.utt_id, u.features, ()) for u in c.dev]),
+         r"^no dev utterance has a target to score against$"),
+        ("word-ctc", lambda c: (c.train, [Utterance("dev-0", np.zeros((40, 5), np.float32),
+                                                    c.dev[0].transcript)]),
+         r"^utterance 'dev-0': expected \(T, 4\) features, got \(40, 5\)$"),
+        ("frame-classifier",
+         lambda c: (c.train, [Utterance(u.utt_id, u.features, u.transcript) for u in c.dev]),
+         r"^utterance 'dev-0' has no frame alignment$"),
+    ], ids=["empty-train", "dev-without-targets", "dev-feature-dim", "dev-without-alignments"])
+    def test_unusable_split_refused_before_any_update(self, corpus, monkeypatch, mode, splits,
+                                                      match):
+        monkeypatch.setattr(training, "network_backward", lambda *args: pytest.fail("an update ran"))
+        spec = TrainSpec(downsample=1, layers=2, hidden=10,
+                         config=TrainConfig(phase1_epochs=1, phase2_epochs=0, mode=mode))
+        with pytest.raises(ValueError, match=match):
+            run(spec, corpus.lexicon, *splits(corpus))
+
     def test_the_spec_states_the_only_seed(self):
         with pytest.raises(ValueError, match="config.seed"):
             TrainSpec(seed=1, config=TrainConfig(seed=1))

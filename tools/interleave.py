@@ -1,6 +1,6 @@
 """Time one perfbench workload's kernel in two wordctc source trees, in one process, taking turns.
 
-    python3 tools/interleave.py PARENT_SRC CHANGE_SRC {decode,train} --pairs N
+    python3 tools/interleave.py PARENT_SRC CHANGE_SRC WORKLOAD --pairs N
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `wordctc` package,
 such as two checkouts' src/.  Both are imported into this one process as
@@ -9,16 +9,17 @@ speed changes.  Each side builds its own inputs with its own code, which
 are not timed; then each pair runs the workload once on both sides, the
 parent first in pairs 1, 3, 5, ... and the change first in the others.
 
-The corpora, shapes and recipes are perfbench/run.py's, read from it, as
-its runs at --seed 1 build them:
-- decode: eval-64w's decode.  Its corpus comes from `wordctc synth` with
-  the workload's flags, and its checkpoint is `Network.random` at
-  CKPT_INIT_SEED trained as perfbench's set-up trains it.  The call runs
-  `network.forward_batches` over each decoded split; the outputs are the
-  lattices.
-- train: train-phone-ds1's train command, one `training.run` of the
-  workload's recipe on the training utterances --seed 1 picks, dev
-  evaluation included.  The outputs are the trained parameters.
+WORKLOAD is a perfbench/run.py workload name.  Its corpus, shapes and
+recipe are read from perfbench/run.py, as its runs at --seed 1 build them,
+and its corpus comes from `wordctc synth` with the workload's flags:
+- a workload that times training (train-word-ds4, train-phone-ds1) is timed
+  on its train command, one `training.run` of the workload's recipe on the
+  training utterances --seed 1 picks, dev evaluation included.  The outputs
+  are the trained parameters.
+- the others (eval-64w) are timed on their decode.  The checkpoint is
+  `Network.random` at CKPT_INIT_SEED trained as perfbench's set-up trains
+  it.  The call runs `network.forward_batches` over each decoded split; the
+  outputs are the lattices.
 
 BLAS runs on one thread.  One JSON line is printed: each side's median and
 quartiles (inclusive method) in seconds, the pairs the change ran faster,
@@ -124,10 +125,6 @@ def train_workload(wc, spec, work):
     return call
 
 
-# each choice's call builder and the perfbench workload it reads
-WORKLOADS = {"decode": (decode_workload, "eval-64w"), "train": (train_workload, "train-phone-ds1")}
-
-
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
@@ -150,7 +147,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent_src")
     p.add_argument("change_src")
-    p.add_argument("workload", choices=sorted(WORKLOADS))
+    p.add_argument("workload", choices=sorted(bench.WORKLOADS))
     p.add_argument("--pairs", type=int, required=True)
     args = p.parse_args(argv)
     if args.pairs < 2:
@@ -160,8 +157,8 @@ def main(argv=None):
         os.environ[var] = str(BLAS_THREADS)
     import numpy as np
 
-    build, name = WORKLOADS[args.workload]
-    spec = bench.WORKLOADS[name]
+    spec = bench.WORKLOADS[args.workload]
+    build = train_workload if spec["timed_train"] else decode_workload
     with tempfile.TemporaryDirectory() as work:
         calls = {side: build(load_wordctc("%s_wordctc" % side, src), spec, Path(work) / side)
                  for side, src in (("parent", args.parent_src), ("change", args.change_src))}
@@ -172,7 +169,6 @@ def main(argv=None):
     differ = (parent != change) if same_shape else None
     print(json.dumps({
         "workload": args.workload,
-        "perfbench_workload": name,
         "pairs": args.pairs,
         "parent_s": quartiles(seconds["parent"]),
         "change_s": quartiles(seconds["change"]),
