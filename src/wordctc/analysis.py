@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .data import table_tsv
 
@@ -196,10 +195,27 @@ class FrequencyMarginTable:
     rank_correlation: object  # float, or None when either column is constant
 
 
+def _ranks(values):
+    """1-based ranks of `values`; tied values share the mean of the ranks
+    they span, as `scipy.stats.rankdata` gives them."""
+    _, group, tied = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(tied)  # the highest rank each group of equal values spans
+    return ((2 * last - tied + 1) / 2.0)[group]
+
+
+def _spearman(a, b):
+    """Spearman's rank correlation of two columns, each with two or more
+    distinct values: the Pearson correlation of their `_ranks`."""
+    ranked = np.column_stack((_ranks(a), _ranks(b)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def frequency_margin_table(emb, transcripts):
     """Per-word training-set count next to its margin, with their Spearman
-    rank correlation.  The correlation is None (flagged undefined) when all
-    counts or all margins are equal."""
+    rank correlation: the Pearson correlation of the two columns' ranks,
+    tied values taking the mean of the ranks they span (equal, bit for bit,
+    to `scipy.stats.spearmanr`).  The correlation is None (flagged
+    undefined) when all counts or all margins are equal."""
     counter = Counter(w for transcript in transcripts for w in transcript)
     words = emb.vocab.labels
     counts = np.array([counter.get(w, 0) for w in words], dtype=np.float64)
@@ -207,7 +223,7 @@ def frequency_margin_table(emb, transcripts):
     if np.unique(counts).size < 2 or np.unique(margins).size < 2:
         corr = None
     else:
-        corr = float(scipy_stats.spearmanr(counts, margins).statistic)
+        corr = _spearman(counts, margins)
     return FrequencyMarginTable(tuple(words), counts, margins, corr)
 
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from wordctc.analysis import (
     EmbeddingMatrix,
+    _ranks,
+    _spearman,
     blank_distance_report,
     embedding_matrix,
     frequency_margin_table,
@@ -242,6 +247,50 @@ class TestFrequencyMarginTable:
         table = frequency_margin_table(emb, [("x", "x", "z")])
         assert table.words == ("x", "y", "z")
         assert table.counts.tolist() == [2.0, 0.0, 1.0]
+
+
+def _columns(values):
+    """Pairs of equal-length columns of 2-12 entries, each with at least two
+    distinct values."""
+    return st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(*[st.lists(values, min_size=n, max_size=n)] * 2)
+    ).filter(lambda ab: len(set(ab[0])) > 1 and len(set(ab[1])) > 1)
+
+
+class TestRankCorrelation:
+    """`scipy.stats` is the oracle: `wordctc` itself never imports it."""
+
+    def assert_scipy(self, a, b):
+        np.testing.assert_array_equal(_ranks(a), scipy_stats.rankdata(a))
+        np.testing.assert_array_equal(_ranks(b), scipy_stats.rankdata(b))
+        expected = float(scipy_stats.spearmanr(a, b).statistic)
+        assert _spearman(a, b).hex() == expected.hex()
+
+    def test_ties_in_either_column(self):
+        self.assert_scipy([3.0, 1.0, 3.0, 2.0, 3.0], [0.5, 0.1, 0.9, 0.2, 0.4])
+        self.assert_scipy([0.5, 0.1, 0.9, 0.2, 0.4], [1.0, 1.0, 2.0, 0.0, 2.0])
+        self.assert_scipy([0.0, 0.0, 1.0, 1.0, 2.0, 5.0], [7.0, 3.0, 3.0, 3.0, 1.0, 1.0])
+        assert _ranks([3, 1, 3, 2]).tolist() == [3.5, 1.0, 3.5, 2.0]
+
+    def test_reversed_column(self):
+        a = [0.3, 1.5, 2.0, 4.25, 9.0]
+        self.assert_scipy(a, a[::-1])
+        # -0.9999999999999999, in scipy as here
+        assert _spearman(a, a[::-1]) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_two_entries(self):
+        self.assert_scipy([1.0, 2.0], [5.0, 3.0])
+        self.assert_scipy([1.0, 2.0], [3.0, 5.0])
+
+    @given(_columns(st.integers(min_value=0, max_value=4)))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_columns_match_scipy(self, ab):
+        self.assert_scipy(*(np.asarray(col, dtype=np.float64) for col in ab))
+
+    @given(_columns(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_float_columns_match_scipy(self, ab):
+        self.assert_scipy(*(np.asarray(col, dtype=np.float64) for col in ab))
 
 
 class TestEmbeddingMatrix:

@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import re
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -863,6 +866,31 @@ class TestAnalyze:
                    "--lexicon", data_dir / "lexicon.tsv", "--out-dir", out,
                    "--overlap") == 4
         assert not list(out.iterdir())
+
+    def test_no_command_imports_scipy_stats(self, tmp_path):
+        # a fresh interpreter, since test modules load scipy.stats into this
+        # one; the margin report computes a defined rank correlation, so a
+        # lazy import inside the command would load it too
+        child = r"""
+import sys
+import wordctc
+from wordctc import cli
+from wordctc.ctc import Vocabulary
+from wordctc.network import Network, save_network
+save_network(Network.random(3, [4], Vocabulary(("a", "b", "c")), "word-ctc", seed=0), "model.net")
+open("lexicon.tsv", "w").write("a\tp1\nb\tp2\nc\tp1 p2\n")
+open("text.tsv", "w").write("u1\ta a b\nu2\ta c a\n")
+code = cli.main(["analyze", "--model", "model.net", "--lexicon", "lexicon.tsv",
+                 "--transcripts", "text.tsv", "--out-dir", "ana", "--margin"])
+print(code, sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+"""
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+        summary = (tmp_path / "ana" / "summary.tsv").read_text()
+        assert math.isfinite(float(summary.split("frequency_margin_spearman\t")[1]))
 
 
 class TestPipelineDeterminism:
